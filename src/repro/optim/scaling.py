@@ -14,7 +14,29 @@ baseline without re-tuning (validated in Figure 17).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+
+
+class ScaledMomentum(float):
+    """A momentum value from eq. 9 that also carries its exact natural log.
+
+    ``m_r ** (N / N_r)`` falls into the subnormal range, or to ``0.0``, for
+    a small ``m_r`` and a large ratio (``0.001 ** 107 == 1e-321``), and
+    ``log(m)`` of such a value is off by far more than rounding.  The log
+    itself, ``(N / N_r) * log(m_r)``, stays exact, so it rides along for
+    :func:`momentum_half_life_samples`.  Arithmetic uses the float value.
+    """
+
+    __slots__ = ("log",)
+
+    def __new__(cls, value: float, log: float) -> "ScaledMomentum":
+        self = super().__new__(cls, value)
+        self.log = log
+        return self
+
+    def __reduce__(self):
+        return (ScaledMomentum, (float(self), self.log))
 
 
 @dataclass(frozen=True)
@@ -57,6 +79,8 @@ def scale_for_batch_size(
     if batch_ref <= 0 or batch_new <= 0:
         raise ValueError("batch sizes must be positive")
     m = momentum_ref ** (batch_new / batch_ref)
+    if momentum_ref > 0.0:
+        m = ScaledMomentum(m, math.log(momentum_ref) * (batch_new / batch_ref))
     lr = (1.0 - m) * batch_new / ((1.0 - momentum_ref) * batch_ref) * lr_ref
     return lr, m
 
@@ -84,13 +108,16 @@ def lr_for_momentum(
 def momentum_half_life_samples(momentum: float, batch_size: int) -> float:
     """Half-life of the momentum decay measured in *samples*.
 
-    Invariant under eq. 9 scaling (property-tested).
+    Invariant under eq. 9 scaling (property-tested).  A
+    :class:`ScaledMomentum` supplies its exact log, so the invariant holds
+    even where the scaled momentum itself underflows.
     """
-    import math
-
-    if momentum <= 0.0:
-        return 0.0
-    return batch_size * math.log(0.5) / math.log(momentum)
+    log_m = getattr(momentum, "log", None)
+    if log_m is None:
+        if momentum <= 0.0:
+            return 0.0
+        log_m = math.log(momentum)
+    return batch_size * math.log(0.5) / log_m
 
 
 def per_sample_contribution(lr: float, momentum: float, batch_size: int) -> float:

@@ -17,6 +17,9 @@
   one thread per stage, packets through per-stage queues, driven by the
   same schedules.  Lockstep mode is bit-exact with the executor;
   free-running mode measures real per-stage busy/idle wall-clock time.
+* :mod:`~repro.pipeline.workers` — the stage-worker process group:
+  launch, error envelope, liveness, abort flag and teardown of the
+  process-per-stage workers, shared by training, replicas and serving.
 * :mod:`~repro.pipeline.checkpoint` — durable training: versioned run
   checkpoints capturing every stage's state plus the data-stream cursor
   at drain barriers, bit-exact resume, and the :class:`DurableRun`

@@ -52,9 +52,9 @@ running stats, Dropout passes through) and run every stage forward with
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
-import traceback
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -66,9 +66,13 @@ from repro.pipeline.schedule import InferenceSchedule, Schedule, ScheduleState
 from repro.pipeline.stage import PipelineStage, StageBuildSpec
 from repro.pipeline.transport import (
     ShmRing,
-    TransportAborted,
     build_inference_rings,
-    probe_boundary_layouts,
+)
+from repro.pipeline.workers import (
+    PipelineRuntimeError,
+    StageRuntimeStats,
+    StageWorkerGroup,
+    WorkerSpec,
 )
 
 #: Default ceiling for any single wait inside a stream or driver.
@@ -80,16 +84,6 @@ DEFAULT_STREAM_CAPACITY = 8
 
 class InferenceStreamError(RuntimeError):
     """A stream worker died or the stream was misused."""
-
-
-@dataclass
-class InferenceStageCounters:
-    """Per-stage op accounting of one inference stream's lifetime."""
-
-    index: int
-    forward_ops: int = 0
-    forward_samples: int = 0
-    busy_seconds: float = 0.0
 
 
 @dataclass
@@ -153,12 +147,29 @@ def _check_inference_stages(stages: Sequence[PipelineStage]) -> None:
         )
 
 
+class _Stream:
+    """The surface every stream shares besides its own ``close``."""
+
+    _closed = False
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise InferenceStreamError("stream is closed")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
 # ---------------------------------------------------------------------------
 # sim stream
 # ---------------------------------------------------------------------------
 
 
-class SimInferenceStream:
+class SimInferenceStream(_Stream):
     """Synchronous forward-only stream (the simulator's counterpart).
 
     ``submit`` transforms the packet through every compute stage
@@ -180,17 +191,15 @@ class SimInferenceStream:
         self.stages = list(stages)
         self.capacity = max(1, int(capacity))
         self.counters = [
-            InferenceStageCounters(index=s) for s in range(len(stages))
+            StageRuntimeStats(index=s) for s in range(len(stages))
         ]
         self._results: deque = deque()
         self._lock = threading.Lock()
         self._eval_guard = eval_mode(self.stages)
         self._eval_guard.__enter__()
-        self._closed = False
 
     def submit(self, pid: int, start: int, x: np.ndarray) -> bool:
-        if self._closed:
-            raise InferenceStreamError("stream is closed")
+        self._check_open()
         with self._lock:
             if len(self._results) >= self.capacity:
                 return False
@@ -217,13 +226,6 @@ class SimInferenceStream:
             return
         self._closed = True
         self._eval_guard.__exit__(None, None, None)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,7 @@ class _FwdChannel:
             self.cond.notify_all()
 
 
-class ThreadedInferenceStream:
+class ThreadedInferenceStream(_Stream):
     """Persistent thread-per-stage forward-only pipeline.
 
     ``capacity`` bounds the total packets in flight (submitted, not yet
@@ -274,7 +276,7 @@ class ThreadedInferenceStream:
         self.capacity = max(1, int(capacity))
         self.stall_timeout = float(stall_timeout)
         self.counters = [
-            InferenceStageCounters(index=s) for s in range(len(stages))
+            StageRuntimeStats(index=s) for s in range(len(stages))
         ]
         self._channels = [_FwdChannel() for _ in range(len(stages) - 1)]
         self._results: deque = deque()
@@ -283,7 +285,6 @@ class ThreadedInferenceStream:
         self._error: BaseException | None = None
         self._eval_guard = eval_mode(self.stages)
         self._eval_guard.__enter__()
-        self._closed = False
         self._threads = [
             threading.Thread(
                 target=self._worker,
@@ -332,8 +333,7 @@ class ThreadedInferenceStream:
             ) from self._error
 
     def submit(self, pid: int, start: int, x: np.ndarray) -> bool:
-        if self._closed:
-            raise InferenceStreamError("stream is closed")
+        self._check_open()
         self._raise_if_failed()
         with self._results_lock:
             if self._in_flight >= self.capacity:
@@ -362,98 +362,61 @@ class ThreadedInferenceStream:
         self._threads = []
         self._eval_guard.__exit__(None, None, None)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
 
 # ---------------------------------------------------------------------------
 # process stream
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _InferWorkerSpec:
-    """Everything one forward-only stage worker needs (spawn-picklable)."""
+@dataclass(kw_only=True)
+class _ServeWorkerSpec(WorkerSpec):
+    """A forward-only stage worker's rings (the rest is the group's)."""
 
-    stage_index: int
-    conn: Any  # multiprocessing.connection.Connection
     fwd_in: ShmRing
     fwd_out: ShmRing
-    abort: Any  # multiprocessing.Event
-    stall_timeout: float
-    stage_state: dict | None
-    stage: PipelineStage | None = None  # fork path: inherited object
-    build_spec: StageBuildSpec | None = None  # spawn path: rebuild recipe
 
 
-def _infer_worker_main(spec: _InferWorkerSpec) -> None:
+def _serve_loop(spec: _ServeWorkerSpec, stage: PipelineStage) -> None:
     """Forward-only event loop of one stage worker process."""
-    try:
-        if spec.stage is not None:
-            stage = spec.stage
-        elif spec.build_spec is not None:
-            stage = spec.build_spec.build()
-            if spec.stage_state is not None:
-                stage.load_state_dict(spec.stage_state)
-        else:  # pragma: no cover - constructor validates
-            raise RuntimeError("worker spec carries neither stage nor recipe")
-        if stage.spec.module is not None:
-            stage.spec.module.eval()
-        counters = InferenceStageCounters(index=spec.stage_index)
-        idle_sleep = 1e-5
-        while True:
-            while spec.conn.poll(0):
-                cmd = spec.conn.recv()
-                if cmd[0] == "finalize":
-                    spec.conn.send(("counters", counters))
-                    return
-                if cmd[0] == "stop":
-                    return
-                raise RuntimeError(
-                    f"infer stage {spec.stage_index}: unknown command "
-                    f"{cmd[0]!r}"
-                )
-            if spec.abort.is_set():
+    if stage.spec.module is not None:
+        stage.spec.module.eval()
+    counters = StageRuntimeStats(index=spec.stage_index)
+    idle_sleep = 1e-5
+    while True:
+        while spec.conn.poll(0):
+            cmd = spec.conn.recv()
+            if cmd[0] == "finalize":
+                spec.conn.send(("counters", counters))
                 return
-            pkt = spec.fwd_in.try_recv()
-            if pkt is None:
-                time.sleep(idle_sleep)
-                idle_sleep = min(idle_sleep * 2.0, 2e-3)
-                continue
-            idle_sleep = 1e-5
-            pid, start, size, payload = pkt
-            t0 = time.perf_counter()
-            out = stage.forward(pid, payload, train=False)
-            counters.forward_ops += 1
-            counters.forward_samples += size
-            counters.busy_seconds += time.perf_counter() - t0
-            # copy into the downstream ring before releasing anything
-            # the output may alias (identity/sum stages pass views)
-            spec.fwd_out.send(
-                pid, start, size, out, spec.stall_timeout, spec.abort
+            if cmd[0] == "stop":
+                return
+            raise RuntimeError(
+                f"infer stage {spec.stage_index}: unknown command "
+                f"{cmd[0]!r}"
             )
-            spec.fwd_in.release()
-    except TransportAborted:
-        pass  # the parent is tearing the stream down; exit quietly
-    except BaseException as exc:
-        try:
-            spec.conn.send(
-                (
-                    "err",
-                    spec.stage_index,
-                    f"{exc!r}\n{traceback.format_exc()}",
-                )
-            )
-        except Exception:  # pragma: no cover - parent already gone
-            pass
-        spec.abort.set()
+        if spec.abort.is_set():
+            return
+        pkt = spec.fwd_in.try_recv()
+        if pkt is None:
+            time.sleep(idle_sleep)
+            idle_sleep = min(idle_sleep * 2.0, 2e-3)
+            continue
+        idle_sleep = 1e-5
+        pid, start, size, payload = pkt
+        t0 = time.perf_counter()
+        out = stage.forward(pid, payload, train=False)
+        counters.forward_ops += 1
+        counters.forward_samples += size
+        counters.busy_seconds += time.perf_counter() - t0
+        # copy into the downstream ring before releasing anything
+        # the output may alias (identity/sum stages pass views)
+        spec.fwd_out.send(
+            pid, start, size, out, spec.stall_timeout, spec.abort
+        )
+        spec.fwd_in.release()
 
 
-class ProcessInferenceStream:
+class ProcessInferenceStream(_Stream):
     """Persistent process-per-stage forward-only pipeline over
     shared-memory rings.
 
@@ -462,7 +425,9 @@ class ProcessInferenceStream:
     and is copied out exactly once, into the result the caller sees.
     Workers stay alive across packets (and across serving requests), so
     the per-call process-launch cost of the training runtime is paid
-    once per stream, not once per batch.
+    once per stream, not once per batch.  The workers are a
+    :class:`~repro.pipeline.workers.StageWorkerGroup`, the same
+    lifecycle the training runtime uses.
 
     ``max_width`` fixes the ring slot width (the widest packet a
     ``submit`` may carry); ``capacity`` sizes every ring, bounding the
@@ -485,43 +450,16 @@ class ProcessInferenceStream:
         layouts=None,
         **_unused: Any,
     ):
-        import multiprocessing as mp
-        import sys
-
         _check_inference_stages(stages)
         self.stages = list(stages)
         self.capacity = max(1, int(capacity))
         self.stall_timeout = float(stall_timeout)
         self.counters = [
-            InferenceStageCounters(index=s) for s in range(len(stages))
+            StageRuntimeStats(index=s) for s in range(len(stages))
         ]
-        available = mp.get_all_start_methods()
-        if start_method is None:
-            start_method = (
-                "fork"
-                if sys.platform.startswith("linux") and "fork" in available
-                else "spawn"
-            )
-        if start_method not in available:
-            raise ValueError(
-                f"start_method {start_method!r} not available on this "
-                f"platform (have {available})"
-            )
-        if start_method != "fork" and model_factory is None:
-            raise ValueError(
-                f"start_method {start_method!r} cannot inherit stage "
-                "objects; pass a spawn-safe model_factory"
-            )
-        # initialize every teardown-visible attribute BEFORE anything
-        # can fail, so the error path below can always self.close() —
-        # including exiting the eval guard, which must not leak
-        # eval-mode modules back to a caller that still trains them
-        self._rings = []
-        self._abort = None
-        self._conns = []
-        self._child_conns = []
-        self._procs = []
-        self._closed = False
+        self._workers = StageWorkerGroup(
+            start_method, model_factory, self.stall_timeout
+        )
         #: _raise_if_failed polls the worker pipes and may be reached
         #: from both stream ends (the server's dispatcher via submit and
         #: its collector via poll); Connection objects are not
@@ -535,21 +473,15 @@ class ProcessInferenceStream:
             probe = np.zeros(
                 (max(1, int(max_width)),) + tuple(sample_shape), dtype=dtype
             )
-            self._rings = build_inference_rings(
+            rings = build_inference_rings(
                 self.stages, probe, slots=self.capacity, layouts=layouts
             )
-            ctx = mp.get_context(start_method)
-            self._abort = ctx.Event()
-            for s in range(len(stages) - 1):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                self._child_conns.append(child_conn)
-                stage = self.stages[s]
-                spec = _InferWorkerSpec(
+            self._workers.rings = rings
+            specs = [
+                _ServeWorkerSpec(
                     stage_index=s,
-                    conn=child_conn,
-                    fwd_in=self._rings[s],
-                    fwd_out=self._rings[s + 1],
-                    abort=self._abort,
+                    fwd_in=rings[s],
+                    fwd_out=rings[s + 1],
                     stall_timeout=self.stall_timeout,
                     stage_state=stage.state_dict() if use_factory else None,
                     stage=None if use_factory else stage,
@@ -566,25 +498,12 @@ class ProcessInferenceStream:
                         else None
                     ),
                 )
-                proc = ctx.Process(
-                    target=_infer_worker_main,
-                    args=(spec,),
-                    name=f"infer-stage-proc-{s}",
-                    daemon=True,
-                )
-                self._conns.append(parent_conn)
-                self._procs.append(proc)
-            for p in self._procs:
-                p.start()
-            # the child ends now live in the workers; drop our copies so
-            # a dead worker surfaces as pipe EOF in _raise_if_failed
-            for conn in self._child_conns:
-                try:
-                    conn.close()
-                except Exception:  # pragma: no cover - idempotent
-                    pass
-            self._child_conns = []
+                for s, stage in enumerate(self.stages[:-1])
+            ]
+            self._workers.launch(_serve_loop, specs, name="infer-stage-proc")
         except BaseException:
+            # also exits the eval guard: eval-mode modules must not leak
+            # back to a caller that still trains them
             self.close()
             raise
 
@@ -604,39 +523,25 @@ class ProcessInferenceStream:
             if now - self._last_health_check < 0.05:
                 return  # another thread scanned while we waited
             self._last_health_check = now
-            for s, conn in enumerate(self._conns):
-                try:
-                    if conn.poll(0):
-                        msg = conn.recv()
-                        if msg[0] == "err":
-                            raise InferenceStreamError(
-                                f"inference stage {msg[1]} worker failed: "
-                                f"{msg[2]}"
-                            )
-                except (EOFError, OSError) as exc:
-                    raise InferenceStreamError(
-                        f"inference stage {s} worker died "
-                        f"(exitcode={self._procs[s].exitcode})"
-                    ) from exc
-            for s, p in enumerate(self._procs):
-                if p.ident is not None and (p.exitcode or 0) != 0:
-                    raise InferenceStreamError(
-                        f"inference stage {s} worker died "
-                        f"(exitcode={p.exitcode})"
-                    )
+            try:
+                self._workers.check()
+            except PipelineRuntimeError as exc:
+                raise InferenceStreamError(
+                    f"inference stage {exc.stage_index} worker failed: "
+                    f"{exc.cause}"
+                ) from exc
 
     def submit(self, pid: int, start: int, x: np.ndarray) -> bool:
-        if self._closed:
-            raise InferenceStreamError("stream is closed")
+        self._check_open()
         self._raise_if_failed()
-        return self._rings[0].try_send(
+        return self._workers.rings[0].try_send(
             pid, start, np.asarray(x).shape[0], [np.ascontiguousarray(x)]
         )
 
     def poll(self) -> list[tuple[int, int, np.ndarray]]:
         self._raise_if_failed()
         out = []
-        ring = self._rings[-1]
+        ring = self._workers.rings[-1]
         while True:
             pkt = ring.try_recv()
             if pkt is None:
@@ -651,13 +556,12 @@ class ProcessInferenceStream:
         if self._closed:
             return
         self._closed = True
+        workers = self._workers
         deadline = time.monotonic() + self.stall_timeout
         with self._health_lock:  # no health check may race the pipes
-            for s, conn in enumerate(self._conns):
-                try:
+            for conn in workers.conns:
+                with contextlib.suppress(OSError):
                     conn.send(("finalize",))
-                except (OSError, BrokenPipeError):  # pragma: no cover
-                    pass
             # abort *before* waiting for counter replies: a worker
             # blocked in a ring send (error-path teardown with packets
             # in flight) only unblocks via the abort flag, and the
@@ -665,51 +569,12 @@ class ProcessInferenceStream:
             # stall_timeout.  Idle workers drain their command pipe
             # before checking abort, so the happy path still collects
             # counters.
-            if self._abort is not None:
-                self._abort.set()
-            for s, conn in enumerate(self._conns):
-                proc = self._procs[s]
-                try:
-                    while not conn.poll(0.05):
-                        if time.monotonic() >= deadline:
-                            break
-                        if (
-                            proc.ident is not None
-                            and proc.exitcode is not None
-                        ):
-                            break
-                    if conn.poll(0):
-                        msg = conn.recv()
-                        if msg[0] == "counters":
-                            self.counters[msg[1].index] = msg[1]
-                except (EOFError, OSError):  # pragma: no cover
-                    pass
-        started = [p for p in self._procs if p.ident is not None]
-        for p in started:
-            p.join(max(0.0, deadline - time.monotonic()))
-        for p in started:
-            if p.is_alive():  # pragma: no cover - stuck worker
-                p.terminate()
-                p.join(5.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except Exception:  # pragma: no cover - idempotent
-                pass
-        for ring in self._rings:
-            ring.close()
-            ring.unlink()
-        self._procs = []
-        self._conns = []
-        self._rings = []
+            workers.set_abort()
+            for msg in workers.replies(deadline):
+                if msg is not None and msg[0] == "counters":
+                    self.counters[msg[1].index] = msg[1]
+        workers.teardown(failed=False)
         self._eval_guard.__exit__(None, None, None)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
 
 # ---------------------------------------------------------------------------

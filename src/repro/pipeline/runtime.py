@@ -74,14 +74,11 @@ paper's timing model.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import sys
 import threading
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -100,10 +97,15 @@ from repro.pipeline.schedule import Schedule, ScheduleState, make_schedule
 from repro.pipeline.stage import PipelineStage, StageBuildSpec
 from repro.pipeline.transport import (
     ShmRing,
-    TransportAborted,
     build_pipeline_rings,
     build_reduce_rings,
     probe_boundary_layouts,
+)
+from repro.pipeline.workers import (
+    PipelineRuntimeError,
+    StageRuntimeStats,
+    StageWorkerGroup,
+    WorkerSpec,
 )
 
 #: Seconds any single coordinator wait may block before the run is
@@ -112,35 +114,6 @@ from repro.pipeline.transport import (
 DEFAULT_STALL_TIMEOUT = 60.0
 
 _STOP = object()  # lockstep command-queue sentinel
-
-
-class PipelineRuntimeError(RuntimeError):
-    """A worker thread died; carries the stage index and original error."""
-
-    def __init__(self, stage_index: int, cause: BaseException):
-        super().__init__(
-            f"pipeline stage {stage_index} worker failed: {cause!r}"
-        )
-        self.stage_index = stage_index
-        self.cause = cause
-
-
-@dataclass
-class StageRuntimeStats:
-    """Measured per-stage activity of one threaded run."""
-
-    index: int
-    forward_ops: int = 0
-    backward_ops: int = 0
-    forward_samples: int = 0
-    backward_samples: int = 0
-    busy_seconds: float = 0.0
-
-    @property
-    def busy_steps(self) -> int:
-        """Slot occupancy: one per packet transformation, the measured
-        counterpart of one non-idle cell in an occupancy grid row."""
-        return self.forward_ops + self.backward_ops
 
 
 @dataclass
@@ -404,7 +377,12 @@ class _ConcurrentEngineFacade:
 
     def _infer_stream_kwargs(self) -> dict:
         """Extra kwargs for the runner's inference stream backend."""
-        return {}
+        if self._infer_backend != "process":
+            return {}
+        return {
+            "model_factory": self.model_factory,
+            "start_method": self.start_method,
+        }
 
     def infer(
         self,
@@ -437,6 +415,54 @@ class _ConcurrentEngineFacade:
             ),
             **self._infer_stream_kwargs(),
         )
+
+    # -- shared by the two process engines ---------------------------------
+
+    def _train_inputs(
+        self, X: np.ndarray, Y: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        X = np.ascontiguousarray(self._executor.precision.cast_array(X))
+        Y = np.asarray(Y)
+        if X.shape[0] != Y.shape[0]:
+            raise ValueError("X and Y length mismatch")
+        return X, Y
+
+    def _empty_run(self, replicas: int = 1) -> PipelineRunStats:
+        """The stats of a zero-sample ``train()`` call (no launch)."""
+        self.schedule.reset(0)
+        counters = [StageRuntimeStats(index=s) for s in range(self.num_stages)]
+        runtime = RuntimeStats(
+            mode=self.runtime_mode,
+            schedule=self.schedule.name,
+            num_stages=self.num_stages,
+            wall_seconds=0.0,
+            stages=counters,
+            backend="process",
+            replicas=replicas,
+        )
+        return self._finish_stats(np.zeros(0), 0, counters, runtime)
+
+    def _train_with_restarts(
+        self, X: np.ndarray, Y: np.ndarray
+    ) -> PipelineRunStats:
+        """Run ``_train_attempt`` with crash recovery: on a worker death
+        rewind to the engine state captured here (``train()`` entry is a
+        drain barrier) and replay, up to ``max_restarts`` times."""
+        snapshot = (
+            self._executor.state_dict() if self.max_restarts > 0 else None
+        )
+        attempt = 0
+        while True:
+            try:
+                return self._train_attempt(X, Y)
+            except PipelineRuntimeError:
+                if snapshot is None or attempt >= self.max_restarts:
+                    raise
+                attempt += 1
+                self.restarts_used += 1
+                # every worker (and its rings) is already gone — the
+                # attempt tore its group down on the way out
+                self._executor.load_state_dict(snapshot)
 
     def _finish_stats(
         self,
@@ -924,6 +950,13 @@ class ConcurrentPipelineRunner(_ConcurrentEngineFacade):
 # *control* travels over pipes: step/flush/set_lr commands, completion
 # events, and the one-time state handoff at start/drain.
 #
+# The worker processes themselves belong to a
+# :class:`~repro.pipeline.workers.StageWorkerGroup` (shared with the
+# serving stream): it spawns them, wraps :func:`_train_loop` in the
+# worker error envelope, watches them (``err`` reports, abnormal exits,
+# stall deadlines), owns the abort flag and tears everything down.
+# This section holds only the training loop and its protocol.
+#
 # The worker protocol (parent -> worker over ``conn``):
 #
 #   ("step", do_fwd, do_bwd, need_ack, cmds)
@@ -956,7 +989,8 @@ class ConcurrentPipelineRunner(_ConcurrentEngineFacade):
 #   ("done", start, size)     free-running completion (stage 0 only)
 #   ("state", payload)        finalize reply: state_dict + counters (+
 #                             losses and version traces)
-#   ("err", stage, text)      any failure; parent raises PipelineRuntimeError
+#   ("err", stage, text)      any failure (sent by the group's worker
+#                             envelope); parent raises PipelineRuntimeError
 #
 # The batched protocol cuts lockstep control traffic from 2*S pipe
 # messages per simulated time step (S sends + S acks) to at most S sends
@@ -986,33 +1020,25 @@ class _ReduceSpec:
     """
 
     rank: int
-    world: int
     chain_in: ShmRing | None  # from rank-1 (None at rank 0)
     chain_out: ShmRing | None  # to rank+1 (None at the last rank)
     result_in: ShmRing | None  # from rank+1 (None at the last rank)
     result_out: ShmRing | None  # to rank-1 (None at rank 0)
 
 
-@dataclass
-class _ProcessWorkerSpec:
-    """Everything one stage worker needs, picklable under ``spawn``."""
+@dataclass(kw_only=True)
+class _ProcessWorkerSpec(WorkerSpec):
+    """Everything one training stage worker needs, picklable under
+    ``spawn`` (``conn``/``abort`` are filled in by the worker group)."""
 
-    stage_index: int
-    num_stages: int
     lockstep: bool
     update_after_backward: bool
-    conn: Any  # multiprocessing.connection.Connection
     fwd_in: ShmRing
     fwd_out: ShmRing | None
     bwd_in: ShmRing | None
     bwd_out: ShmRing | None
-    abort: Any  # multiprocessing.Event
-    stall_timeout: float
     jitter: float
     jitter_seed: int
-    stage_state: dict
-    stage: PipelineStage | None = None  # fork path: inherited object
-    build_spec: StageBuildSpec | None = None  # spawn path: rebuild recipe
     labels: np.ndarray | None = None  # loss stage only
     num_samples: int = 0
     reduce: _ReduceSpec | None = None  # replicated runs only
@@ -1346,40 +1372,18 @@ class _ProcessStageWorker:
                 idle_sleep = min(idle_sleep * 2.0, 2e-3)
 
 
-def _process_worker_main(spec: _ProcessWorkerSpec) -> None:
-    """Entry point of a stage worker process (top-level for ``spawn``)."""
-    try:
-        if spec.stage is not None:
-            stage = spec.stage
-        elif spec.build_spec is not None:
-            stage = spec.build_spec.build()
-        else:  # pragma: no cover - constructor validates
-            raise RuntimeError("worker spec carries neither stage nor recipe")
-        stage.load_state_dict(spec.stage_state)
-        # ship only THIS run's version trace back; the parent extends its
-        # accumulated list (matching the sim/threaded engines' behaviour
-        # across consecutive train() calls).  A fork-inherited stage
-        # would otherwise carry — and duplicate — prior runs' entries.
-        stage.version_trace = []
-        if spec.reduce is not None:
-            # replicated sync runs fold per-packet gradient segments
-            # across replicas instead of accumulating locally
-            stage.collect_grad_segments = True
-        _ProcessStageWorker(spec, stage).run()
-    except TransportAborted:
-        pass  # the parent is tearing the run down; exit quietly
-    except BaseException as exc:
-        try:
-            spec.conn.send(
-                (
-                    "err",
-                    spec.stage_index,
-                    f"{exc!r}\n{traceback.format_exc()}",
-                )
-            )
-        except Exception:  # pragma: no cover - parent already gone
-            pass
-        spec.abort.set()
+def _train_loop(spec: _ProcessWorkerSpec, stage: PipelineStage) -> None:
+    """Body of a training stage worker (inside the group's envelope)."""
+    # ship only THIS run's version trace back; the parent extends its
+    # accumulated list (matching the sim/threaded engines' behaviour
+    # across consecutive train() calls).  A fork-inherited stage
+    # would otherwise carry — and duplicate — prior runs' entries.
+    stage.version_trace = []
+    if spec.reduce is not None:
+        # replicated sync runs fold per-packet gradient segments
+        # across replicas instead of accumulating locally
+        stage.collect_grad_segments = True
+    _ProcessStageWorker(spec, stage).run()
 
 
 class _FlushProxy:
@@ -1399,10 +1403,11 @@ class _FlushProxy:
 
     def flush_stages(self, count: int) -> None:
         # the authoritative update counters return at finalize
-        self._runner._broadcast(("flush", count))
+        workers = self._runner._workers
+        workers.broadcast(("flush", count))
         if self._wait_acks:
             for s in range(self._runner.num_stages):
-                msg = self._runner._recv(s)
+                msg = workers.recv(s)
                 if msg[0] != "flushed":  # pragma: no cover - protocol bug
                     raise RuntimeError(
                         f"stage {s}: expected flush ack, got {msg[0]!r}"
@@ -1531,29 +1536,11 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
         self.stall_timeout = float(stall_timeout)
         self.model_factory = model_factory
         self.ring_slack = int(ring_slack)
-        available = mp.get_all_start_methods()
-        if start_method is None:
-            # fork only where it is actually safe: forking a NumPy/BLAS
-            # parent on macOS (Accelerate) can deadlock in the child, so
-            # anywhere but Linux the spawn + model_factory path is the
-            # default (matching CPython's own default flip on darwin)
-            start_method = (
-                "fork"
-                if sys.platform.startswith("linux") and "fork" in available
-                else "spawn"
-            )
-        if start_method not in available:
-            raise ValueError(
-                f"start_method {start_method!r} not available on this "
-                f"platform (have {available})"
-            )
-        if start_method != "fork" and model_factory is None:
-            raise ValueError(
-                f"start_method {start_method!r} cannot inherit stage "
-                "objects; pass a spawn-safe model_factory so workers can "
-                "rebuild their stage (see StageBuildSpec)"
-            )
-        self.start_method = start_method
+        #: the stage worker processes, launched per train() attempt
+        self._workers = StageWorkerGroup(
+            start_method, model_factory, self.stall_timeout
+        )
+        self.start_method = self._workers.start_method
         self._opt = dict(
             lr=lr, momentum=momentum, weight_decay=weight_decay,
             mitigation=mitigation,
@@ -1564,13 +1551,7 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
         self.restarts_used = 0
         self.last_runtime_stats: RuntimeStats | None = None
         self.completion_order: list[int] = []
-        self._procs: list[mp.process.BaseProcess] = []
-        self._conns: list[Any] = []
-        self._child_conns: list[Any] = []
-        self._rx_buf: list[deque] = []
-        self._rings: list[ShmRing] = []
-        self._fwd_rings: list[ShmRing] = []
-        self._abort = None
+        self._inject_ring: ShmRing | None = None  # stage 0's inbound ring
         #: boundary layouts depend only on architecture + packet
         #: shape/dtype, so relaunches (per-segment drives, crash
         #: recovery) skip the dummy probe pass after the first launch
@@ -1583,12 +1564,6 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
     # (engine facade inherited from _ConcurrentEngineFacade)
 
     _infer_backend = "process"
-
-    def _infer_stream_kwargs(self) -> dict:
-        return {
-            "model_factory": self.model_factory,
-            "start_method": self.start_method,
-        }
 
     # -- worker lifecycle ---------------------------------------------------
 
@@ -1604,29 +1579,22 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
         fwd_rings, bwd_rings = build_pipeline_rings(
             self.stages, probe, slack=self.ring_slack, layouts=layouts
         )
-        self._rings = fwd_rings + [r for r in bwd_rings if r is not None]
-        self._fwd_rings = fwd_rings
-        ctx = mp.get_context(self.start_method)
-        self._abort = ctx.Event()
-        self._conns = []
-        self._child_conns = []
-        self._rx_buf = [deque() for _ in range(S)]
-        self._procs = []
+        self._workers.rings = fwd_rings + [
+            r for r in bwd_rings if r is not None
+        ]
+        self._inject_ring = fwd_rings[0]
         use_factory = self.model_factory is not None
+        specs = []
         for s in range(S):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
             stage = self.stages[s]
-            spec = _ProcessWorkerSpec(
+            specs.append(_ProcessWorkerSpec(
                 stage_index=s,
-                num_stages=S,
                 lockstep=self.lockstep,
                 update_after_backward=self.schedule.update_after_backward(s),
-                conn=child_conn,
                 fwd_in=fwd_rings[s],
                 fwd_out=fwd_rings[s + 1] if s + 1 < S else None,
                 bwd_in=bwd_rings[s],
                 bwd_out=bwd_rings[s - 1] if s > 0 else None,
-                abort=self._abort,
                 stall_timeout=self.stall_timeout,
                 jitter=self.jitter,
                 jitter_seed=self.jitter_seed,
@@ -1654,130 +1622,11 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
                     if self._reduce_plan is not None
                     else None
                 ),
-            )
-            proc = ctx.Process(
-                target=_process_worker_main,
-                args=(spec,),
-                name=f"pipeline-stage-proc-{s}",
-                daemon=True,
-            )
-            self._conns.append(parent_conn)
-            self._child_conns.append(child_conn)
-            self._procs.append(proc)
+            ))
         # workers load their lr from the shipped state; broadcasts are
         # needed only when the schedule later changes it
         self._last_broadcast_lr = self.stages[0].lr if self.stages else None
-        for p in self._procs:
-            p.start()
-        # the child ends now live in the workers; drop the parent's copies
-        for conn in self._child_conns:
-            try:
-                conn.close()
-            except Exception:  # pragma: no cover - idempotent
-                pass
-        self._child_conns = []
-
-    def _broadcast(self, cmd) -> None:
-        for conn in self._conns:
-            conn.send(cmd)
-
-    def _find_dead_worker(self) -> int | None:
-        """Index of the first worker that died *abnormally*, or ``None``.
-
-        Abnormal means a nonzero exit code: SIGKILL/OOM/segfault.  Every
-        legitimate worker path — finalize reply, stop command, abort,
-        even an internal error (reported as an ``err`` message first) —
-        returns from ``_process_worker_main`` and exits 0, so exit code
-        is the discriminator that works in every phase (a worker that
-        has replied to finalize may exit 0 while the parent still drains
-        its siblings).  The check exists because pipe EOF alone cannot
-        flag a dead worker: under ``fork`` sibling workers inherit each
-        other's pipe ends, keeping the write side open after a SIGKILL,
-        and a dead stage can leave its *neighbors* blocked on rings with
-        their own pipes silent.
-        """
-        for s, p in enumerate(self._procs):
-            if p.ident is not None and (p.exitcode or 0) != 0:
-                return s
-        return None
-
-    def _raise_dead_worker(self, s: int) -> None:
-        raise PipelineRuntimeError(
-            s,
-            RuntimeError(
-                "worker process died without reporting an error "
-                f"(exitcode={self._procs[s].exitcode})"
-            ),
-        )
-
-    def _scan_for_err(self) -> None:
-        """Drain buffered worker messages; raise the first ``err`` found.
-
-        A worker failure now often surfaces indirectly: the batched
-        lockstep protocol lets the parent run ahead, so sibling workers
-        of the stage that actually failed die next on the aborted
-        transport (quietly — see ``_process_worker_main``), and the
-        parent's first symptom can be a sibling's pipe EOF or a stall.
-        The root-cause ``err`` report is still sitting in the failed
-        worker's pipe; scanning every pipe before raising a secondary
-        error keeps the failure attributed to the right stage.  Non-err
-        messages (e.g. in-flight acks from healthy workers) are stashed
-        and replayed to later ``_recv`` calls.
-        """
-        for s, conn in enumerate(self._conns):
-            try:
-                while conn.poll(0):
-                    msg = conn.recv()
-                    if msg[0] == "err":
-                        raise PipelineRuntimeError(
-                            msg[1], RuntimeError(msg[2])
-                        )
-                    self._rx_buf[s].append(msg)
-            except (EOFError, OSError):
-                continue
-
-    def _recv(self, s: int):
-        """One message from worker ``s`` with the stall deadline.
-
-        While waiting, worker health is polled: an abnormally-exited
-        worker raises :class:`PipelineRuntimeError` immediately instead
-        of stalling out.  A killed worker with nothing buffered (the
-        poll above was ``False``) sent nothing before dying — once
-        ``send`` has returned in the child its bytes are in the pipe
-        buffer and visible to ``poll`` — so raising loses no messages.
-        """
-        if self._rx_buf[s]:
-            return self._rx_buf[s].popleft()  # err is never stashed
-        deadline = time.monotonic() + self.stall_timeout
-        while not self._conns[s].poll(0.05):
-            dead = self._find_dead_worker()
-            if dead is not None:
-                self._scan_for_err()
-                self._raise_dead_worker(dead)
-            if time.monotonic() >= deadline:
-                self._scan_for_err()
-                raise RuntimeError(
-                    f"pipeline runtime stalled waiting on stage {s} worker "
-                    f"({self.stall_timeout:.1f}s) — likely deadlock or a "
-                    "dead process"
-                )
-        try:
-            msg = self._conns[s].recv()
-        except (EOFError, OSError) as exc:
-            # a worker killed without reporting (OOM, segfault) closes
-            # its pipe end; surface the documented error, not a bare EOF
-            # — unless a sibling's buffered err names the real culprit
-            self._scan_for_err()
-            raise PipelineRuntimeError(
-                s,
-                RuntimeError(
-                    "worker process died without reporting an error "
-                    f"(exitcode={self._procs[s].exitcode})"
-                ),
-            ) from exc
-        if msg[0] == "err":
-            raise PipelineRuntimeError(msg[1], RuntimeError(msg[2]))
-        return msg
+        self._workers.launch(_train_loop, specs, name="pipeline-stage-proc")
 
     def _apply_lr_schedule(self, pending=None) -> None:
         if self.lr_schedule is None:
@@ -1797,17 +1646,17 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
                 for q in pending:
                     q.append(("set_lr", lr))
             else:
-                self._broadcast(("set_lr", lr))
+                self._workers.broadcast(("set_lr", lr))
             self._last_broadcast_lr = lr
 
     def _finalize_workers(
         self, losses: np.ndarray, counters: list[StageRuntimeStats]
     ) -> None:
         """Collect trained state + measurements; load into parent stages."""
-        self._broadcast(("finalize",))
+        self._workers.broadcast(("finalize",))
         payloads = []
         for s in range(self.num_stages):
-            msg = self._recv(s)
+            msg = self._workers.recv(s)
             if msg[0] != "state":  # pragma: no cover - protocol bug
                 raise RuntimeError(
                     f"stage {s}: expected finalize state, got {msg[0]!r}"
@@ -1827,33 +1676,6 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
             if payload["losses"] is not None:
                 np.copyto(losses, payload["losses"])
 
-    def _teardown(self, failed: bool) -> None:
-        if failed and self._abort is not None:
-            self._abort.set()
-        deadline = time.monotonic() + self.stall_timeout
-        started = [p for p in self._procs if p.ident is not None]
-        for p in started:
-            p.join(max(0.0, deadline - time.monotonic()))
-        for p in started:
-            if p.is_alive():
-                p.terminate()
-                p.join(5.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except Exception:  # pragma: no cover - idempotent teardown
-                pass
-        for ring in self._rings:
-            ring.close()
-            ring.unlink()
-        self._procs = []
-        self._conns = []
-        self._child_conns = []
-        self._rx_buf = []
-        self._rings = []
-        self._fwd_rings = []
-        self._abort = None
-
     # -- public entry -------------------------------------------------------
 
     def train(self, X: np.ndarray, Y: Sequence[int]) -> PipelineRunStats:
@@ -1870,55 +1692,32 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
                 f"schedule {self.schedule.name!r} is forward-only; use "
                 "infer() (or repro.serve) instead of train()"
             )
-        X = np.ascontiguousarray(self._executor.precision.cast_array(X))
-        Y = np.asarray(Y)
-        if X.shape[0] != Y.shape[0]:
-            raise ValueError("X and Y length mismatch")
+        X, Y = self._train_inputs(X, Y)
+        if X.shape[0] == 0:
+            self.completion_order = []
+            return self._empty_run()
+        return self._train_with_restarts(X, Y)
+
+    def _train_attempt(
+        self, X: np.ndarray, Y: np.ndarray, extra_flushes: int = 0
+    ) -> PipelineRunStats:
+        """One launch/drive/finalize cycle (extracted so crash recovery
+        can replay it from a restored snapshot).
+
+        ``extra_flushes`` zero-contribution flushes follow the drive: a
+        replica joins the reduce of every global batch, including those
+        its shard holds no samples of (workers launch even for an empty
+        shard for the same reason).
+        """
         n = X.shape[0]
         self.schedule.reset(n)
         self.completion_order = []
-        if n == 0:
-            counters = [
-                StageRuntimeStats(index=s) for s in range(self.num_stages)
-            ]
-            runtime = RuntimeStats(
-                mode=self.runtime_mode,
-                schedule=self.schedule.name,
-                num_stages=self.num_stages,
-                wall_seconds=0.0,
-                stages=counters,
-                backend="process",
-            )
-            return self._finish_stats(np.zeros(0), 0, counters, runtime)
-        snapshot = (
-            self._executor.state_dict() if self.max_restarts > 0 else None
-        )
-        attempt = 0
-        while True:
-            try:
-                return self._train_attempt(X, Y, n)
-            except PipelineRuntimeError:
-                if snapshot is None or attempt >= self.max_restarts:
-                    raise
-                attempt += 1
-                self.restarts_used += 1
-                # every worker (and its rings) is already gone — the
-                # attempt's finally ran _teardown(failed=True); rewind
-                # to the entry drain barrier and replay the batch
-                self._executor.load_state_dict(snapshot)
-                self.schedule.reset(n)
-                self.completion_order = []
-
-    def _train_attempt(
-        self, X: np.ndarray, Y: np.ndarray, n: int
-    ) -> PipelineRunStats:
-        """One launch/drive/finalize cycle (extracted so crash recovery
-        can replay it from a restored snapshot)."""
         losses = np.zeros(n)
         counters: list[StageRuntimeStats] = [
             StageRuntimeStats(index=s) for s in range(self.num_stages)
         ]
         self.last_control_stats = None
+        time_steps = 0
         failed = True
         try:
             self._launch(X, Y)
@@ -1927,15 +1726,18 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
             # fractions stay comparable across backends; ring/process
             # setup and the drain-time state collection are excluded
             t0 = time.perf_counter()
-            if self.lockstep:
+            if n and self.lockstep:
                 time_steps = self._drive_lockstep(X, n)
-            else:
+            elif n:
                 time_steps = self._drive_free(X, n)
+            flush = _FlushProxy(self, wait_acks=not self.lockstep)
+            for _ in range(extra_flushes):
+                flush.flush_stages(0)
             wall = time.perf_counter() - t0
             self._finalize_workers(losses, counters)
             failed = False
         finally:
-            self._teardown(failed)
+            self._workers.teardown(failed)
         runtime = RuntimeStats(
             mode=self.runtime_mode,
             schedule=self.schedule.name,
@@ -1950,19 +1752,6 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
 
     # -- lockstep driver ----------------------------------------------------
 
-    def _check_worker_errors(self) -> None:
-        """Surface a worker death or error report without blocking.
-
-        Under the batched protocol the parent no longer receives a
-        per-tick message that would carry an ``err``; this poll is the
-        replacement, run whenever the parent is about to wait (injection
-        backpressure) or has seen the abort flag.
-        """
-        self._scan_for_err()
-        dead = self._find_dead_worker()
-        if dead is not None:
-            self._raise_dead_worker(dead)
-
     def _send_injection(self, pid, start, size, payload) -> None:
         """Inject a packet into the stage-0 ring with bounded waiting.
 
@@ -1972,12 +1761,14 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
         liveness checks so a dead or erroring worker surfaces as
         :class:`PipelineRuntimeError` instead of a transport stall.
         """
-        ring = self._fwd_rings[0]
+        ring = self._inject_ring
         if ring.try_send(pid, start, size, payload):
             return
         deadline = time.monotonic() + self.stall_timeout
         while True:
-            self._check_worker_errors()
+            # the batched protocol has no per-tick message that would
+            # carry an ``err``; this poll is the replacement
+            self._workers.check()
             if ring.try_send(pid, start, size, payload):
                 return
             if time.monotonic() >= deadline:
@@ -1991,24 +1782,13 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
     def _drive_lockstep(self, X: np.ndarray, n: int) -> int:
         """Mirror of ``PipelineExecutor._run``'s control flow: the parent
         tracks packet *positions* (metadata only) while the payloads hop
-        worker-to-worker through the rings.
-
-        Control plane (protocol notes at the top of the module): each
-        worker gets at most **one** pipe write per simulated time step —
-        ``("step", do_fwd, do_bwd, need_ack, cmds)`` with any
-        batch-boundary flush / LR-schedule commands from the previous
-        tick's barrier coalesced into ``cmds`` — and workers with
-        nothing to do this tick get no message at all.  Completions are
-        computed parent-side from the packet metadata it already tracks
-        (stage 0's backward size, plus the loss-stage forward when
-        ``S == 1``), which is exactly the sum the old per-tick ack
-        barrier collected; workers report
-        ``("ok", completed_since_last_ack)`` only every
-        ``lockstep_ack_interval`` ticks as a flow-control barrier, and
-        the parent cross-checks the acked total against its metadata
-        count to catch protocol drift.  The per-worker operation
-        sequence is unchanged from the per-tick protocol, so lockstep
-        runs stay bit-exact with the simulator.
+        worker-to-worker through the rings, under the batched step
+        protocol described at the top of the process section.
+        Completions are computed parent-side from that metadata (stage
+        0's backward size, plus the loss-stage forward when ``S == 1``);
+        the windowed ``("ok", n)`` acks are a flow-control barrier and a
+        cross-check against protocol drift.  The per-worker operation
+        sequence is the simulator's, so lockstep runs stay bit-exact.
         """
         S = self.num_stages
         sched = self.schedule
@@ -2022,11 +1802,12 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
         expect_completed = 0  # metadata completions since the last ack
         sends = 0
         acks = 0
+        workers = self._workers
         while state.next_sample < n or fwd_meta or bwd_meta:
-            if self._abort is not None and self._abort.is_set():
+            if workers.abort.is_set():
                 # a worker posted an error and aborted the transport;
                 # surface it instead of streaming more commands
-                self._check_worker_errors()
+                workers.check()
                 raise RuntimeError(  # pragma: no cover - err precedes abort
                     "pipeline transport aborted without a worker error "
                     "report"
@@ -2046,7 +1827,7 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
                 do_bwd = s in bwd_meta
                 if not (do_fwd or do_bwd or pending[s] or need_ack):
                     continue  # idle worker: skip the pipe write entirely
-                self._conns[s].send(
+                workers.conns[s].send(
                     ("step", do_fwd, do_bwd, need_ack, tuple(pending[s]))
                 )
                 pending[s].clear()
@@ -2086,7 +1867,7 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
             if need_ack:
                 acked = 0
                 for s in range(S):
-                    msg = self._recv(s)  # the windowed barrier
+                    msg = workers.recv(s)  # the windowed barrier
                     if msg[0] != "ok":  # pragma: no cover - protocol bug
                         raise RuntimeError(
                             f"stage {s}: expected step ack, got {msg[0]!r}"
@@ -2107,7 +1888,7 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
         # as standalone legacy commands before finalize
         for s in range(S):
             for cmd in pending[s]:
-                self._conns[s].send(cmd)
+                workers.conns[s].send(cmd)
                 sends += 1
             pending[s].clear()
 
@@ -2143,29 +1924,14 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
                 if size <= 0:
                     break
                 i = state.next_sample
-                if not self._fwd_rings[0].try_send(
+                if not self._inject_ring.try_send(
                     i, i, size, [X[i : i + size]]
                 ):
                     break  # ring full: downstream backpressure
                 state.next_sample += size
                 progressed = True
 
-            for conn in mp_connection.wait(self._conns, timeout=0.05):
-                s = self._conns.index(conn)
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError) as exc:
-                    raise PipelineRuntimeError(
-                        s,
-                        RuntimeError(
-                            "worker process died without reporting an "
-                            f"error (exitcode={self._procs[s].exitcode})"
-                        ),
-                    ) from exc
-                if msg[0] == "err":
-                    raise PipelineRuntimeError(
-                        msg[1], RuntimeError(msg[2])
-                    )
+            for _, msg in self._workers.wait(0.05):
                 if msg[0] != "done":  # pragma: no cover - protocol bug
                     raise RuntimeError(f"unexpected worker message {msg!r}")
                 _, start, size = msg
@@ -2183,9 +1949,7 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
                 # liveness watchdog: a SIGKILLed worker whose pipe EOF
                 # has not surfaced yet (e.g. a middle stage everyone
                 # else is still blocked on) fails the drive promptly
-                dead = self._find_dead_worker()
-                if dead is not None:
-                    self._raise_dead_worker(dead)
+                self._workers.raise_if_dead()
 
             now = time.monotonic()
             if progressed:
@@ -2317,25 +2081,23 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
         global_update = (
             self._block * self.replicas if self._sync else update_size
         )
-        self._executor = PipelineExecutor(
-            model,
+        common = dict(
             lr=lr,
             momentum=momentum,
             weight_decay=weight_decay,
             mitigation=mitigation,
             mode=mode,
-            update_size=global_update,
             micro_batch_size=micro_batch_size,
-            lr_schedule=lr_schedule,
             record_versions=record_versions,
             precision=precision,
         )
+        self._executor = PipelineExecutor(
+            model, update_size=global_update, lr_schedule=lr_schedule,
+            **common,
+        )
         self.lockstep = bool(lockstep)
-        self.jitter = float(jitter)
-        self.jitter_seed = int(jitter_seed)
         self.stall_timeout = float(stall_timeout)
         self.model_factory = model_factory
-        self.ring_slack = int(ring_slack)
         if max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         self.max_restarts = int(max_restarts)
@@ -2348,15 +2110,8 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
         for r in range(self.replicas):
             rep = ProcessPipelineRunner(
                 model_factory(),
-                lr=lr,
-                momentum=momentum,
-                weight_decay=weight_decay,
-                mitigation=mitigation,
-                mode=mode,
                 update_size=update_size,
-                micro_batch_size=micro_batch_size,
                 lr_schedule=None,  # evaluated once at the master barrier
-                record_versions=record_versions,
                 lockstep=lockstep,
                 jitter=jitter,
                 jitter_seed=jitter_seed * 1_000_003 + r,
@@ -2365,8 +2120,8 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
                 start_method=start_method,
                 ring_slack=ring_slack,
                 max_restarts=0,  # recovery is coordinated at this level
-                precision=precision,
                 lockstep_ack_interval=lockstep_ack_interval,
+                **common,
             )
             if rep.num_stages != self.num_stages:
                 raise ValueError(
@@ -2382,12 +2137,6 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
         self._progress_bases: list[int] | None = None
 
     _infer_backend = "process"
-
-    def _infer_stream_kwargs(self) -> dict:
-        return {
-            "model_factory": self.model_factory,
-            "start_method": self.start_method,
-        }
 
     @property
     def samples_completed(self) -> int:
@@ -2406,52 +2155,21 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
         """Shard the batch across the replicas and train them to the
         drain barrier (reducing per update for synchronous schedules,
         merging weight deltas at the end for asynchronous ones)."""
-        X = np.ascontiguousarray(self._executor.precision.cast_array(X))
-        Y = np.asarray(Y)
-        if X.shape[0] != Y.shape[0]:
-            raise ValueError("X and Y length mismatch")
-        n = X.shape[0]
-        self.schedule.reset(n)
-        if n == 0:
-            counters = [
-                StageRuntimeStats(index=s) for s in range(self.num_stages)
-            ]
-            runtime = RuntimeStats(
-                mode=self.runtime_mode,
-                schedule=self.schedule.name,
-                num_stages=self.num_stages,
-                wall_seconds=0.0,
-                stages=counters,
-                backend="process",
-                replicas=self.replicas,
-            )
-            return self._finish_stats(np.zeros(0), 0, counters, runtime)
+        X, Y = self._train_inputs(X, Y)
+        if X.shape[0] == 0:
+            return self._empty_run(replicas=self.replicas)
         if self.lr_schedule is not None:
             # once per train() call, at its entry drain barrier (see the
             # class docstring's contract deviations)
             self._executor.set_lr(
                 float(self.lr_schedule(self._executor.samples_completed))
             )
-        snapshot = (
-            self._executor.state_dict() if self.max_restarts > 0 else None
-        )
-        attempt = 0
-        while True:
-            try:
-                return self._train_attempt(X, Y, n)
-            except PipelineRuntimeError:
-                if snapshot is None or attempt >= self.max_restarts:
-                    raise
-                attempt += 1
-                self.restarts_used += 1
-                self._executor.load_state_dict(snapshot)
-                self.schedule.reset(n)
+        return self._train_with_restarts(X, Y)
 
     # -- one attempt --------------------------------------------------------
 
-    def _train_attempt(
-        self, X: np.ndarray, Y: np.ndarray, n: int
-    ) -> PipelineRunStats:
+    def _train_attempt(self, X: np.ndarray, Y: np.ndarray) -> PipelineRunStats:
+        n = X.shape[0]
         R = self.replicas
         block = self._block
         shards = [shard_positions(n, r, R, block=block) for r in range(R)]
@@ -2480,7 +2198,6 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
                 rep._reduce_plan = [
                     _ReduceSpec(
                         rank=r,
-                        world=R,
                         chain_in=chain[s][r - 1] if r > 0 else None,
                         chain_out=chain[s][r] if r < R - 1 else None,
                         result_in=result[s][r] if r < R - 1 else None,
@@ -2488,9 +2205,6 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
                     )
                     for s in range(self.num_stages)
                 ]
-        else:
-            for rep in self.replica_runners:
-                rep._reduce_plan = None
         part_stats: list[PipelineRunStats | None] = [None] * R
         errors: list[tuple[int, BaseException]] = []
         self._progress_bases = [
@@ -2501,11 +2215,10 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
             rep = self.replica_runners[r]
             pos = shards[r]
             try:
-                part_stats[r] = self._drive_replica(
-                    rep,
+                part_stats[r] = rep._train_attempt(
                     np.ascontiguousarray(X[pos]),
                     Y[pos],
-                    missing[r],
+                    extra_flushes=missing[r],
                 )
             except BaseException as exc:
                 errors.append((r, exc))
@@ -2531,17 +2244,14 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
                     # replica's workers so any abnormal exit fails the
                     # whole group promptly.
                     for r, rep in enumerate(self.replica_runners):
-                        dead = rep._find_dead_worker()
-                        if dead is not None:
+                        try:
+                            rep._workers.raise_if_dead()
+                        except PipelineRuntimeError as exc:
                             errors.append((
                                 r,
                                 PipelineRuntimeError(
-                                    dead,
-                                    RuntimeError(
-                                        f"replica {r} stage {dead} worker "
-                                        "process died (exitcode="
-                                        f"{rep._procs[dead].exitcode})"
-                                    ),
+                                    exc.stage_index,
+                                    RuntimeError(f"replica {r}: {exc.cause}"),
                                 ),
                             ))
                             break
@@ -2551,13 +2261,14 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
                     # peer will ever join
                     aborted = True
                     for rep in self.replica_runners:
-                        if rep._abort is not None:
-                            rep._abort.set()
+                        rep._workers.set_abort()
                 for t in threads:
                     t.join(0.05)
         finally:
             for t in threads:
                 t.join()
+            for rep in self.replica_runners:
+                rep._reduce_plan = None
             for ring in reduce_rings:
                 ring.close()
                 ring.unlink()
@@ -2583,66 +2294,6 @@ class ReplicatedPipelineRunner(_ConcurrentEngineFacade):
             updates_per_stage=[st.updates_applied for st in self.stages],
             runtime=runtime,
         )
-
-    def _drive_replica(
-        self,
-        rep: ProcessPipelineRunner,
-        Xr: np.ndarray,
-        Yr: np.ndarray,
-        missing: int,
-    ) -> PipelineRunStats:
-        """One replica's launch/drive/finalize cycle (its driver thread).
-
-        Mirrors :meth:`ProcessPipelineRunner._train_attempt`, with two
-        replication extras: workers are launched even for an empty shard
-        (they must join the reduce), and ``missing`` zero-contribution
-        flushes follow the drive so this replica participates in global
-        batches its shard holds no samples of.
-        """
-        n_r = int(Xr.shape[0])
-        losses_r = np.zeros(n_r)
-        counters = [
-            StageRuntimeStats(index=s) for s in range(rep.num_stages)
-        ]
-        time_steps = 0
-        wall = 0.0
-        failed = True
-        try:
-            rep.schedule.reset(n_r)
-            rep.completion_order = []
-            rep._launch(Xr, Yr)
-            t0 = time.perf_counter()
-            if n_r:
-                if rep.lockstep:
-                    time_steps = rep._drive_lockstep(Xr, n_r)
-                else:
-                    time_steps = rep._drive_free(Xr, n_r)
-            for _ in range(missing):
-                rep._broadcast(("flush", 0))
-                if not rep.lockstep:
-                    for s in range(rep.num_stages):
-                        msg = rep._recv(s)
-                        if msg[0] != "flushed":  # pragma: no cover
-                            raise RuntimeError(
-                                f"stage {s}: expected flush ack, got "
-                                f"{msg[0]!r}"
-                            )
-            wall = time.perf_counter() - t0
-            rep._finalize_workers(losses_r, counters)
-            failed = False
-        finally:
-            rep._teardown(failed)
-            rep._reduce_plan = None
-        runtime = RuntimeStats(
-            mode=rep.runtime_mode,
-            schedule=rep.schedule.name,
-            num_stages=rep.num_stages,
-            wall_seconds=wall,
-            stages=counters,
-            backend="process",
-        )
-        check_stages_drained(rep.stages)
-        return rep._finish_stats(losses_r, time_steps, counters, runtime)
 
     # -- merging ------------------------------------------------------------
 

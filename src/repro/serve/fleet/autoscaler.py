@@ -24,7 +24,11 @@ from its ``tick()``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+
+#: autoscaler decisions kept for ``/stats`` (oldest dropped first)
+MAX_EVENTS = 256
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,11 @@ class FleetAutoscaler:
         self.policy = policy if policy is not None else AutoscalePolicy()
         self._idle_since: float | None = None
         self._last_action_t: float | None = None
-        #: decision log, newest last: (t, action, reason)
-        self.events: list[tuple[float, str, str]] = []
+        #: decision log, newest last: (t, action, reason); bounded, as
+        #: every /stats snapshot copies it
+        self.events: deque[tuple[float, str, str]] = deque(
+            maxlen=MAX_EVENTS
+        )
 
     def decide(
         self,

@@ -313,7 +313,12 @@ class FleetRouter:
         self.replicas: dict[str, Replica] = {}
         self._checkpoint = checkpoint
         self._outstanding: dict[str, int] = {}
-        self._resolved: set[int] = set()
+        #: resolved fleet ids as a low watermark (every id below it is
+        #: resolved) plus the sparse set of resolved ids above it: ids
+        #: are handed out in order and each resolves once, so memory
+        #: stays bounded by the out-of-order window, not the request count
+        self._resolved_below = 0
+        self._resolved_above: set[int] = set()
         self.submitted = 0
         self.duplicates = 0
         self._http_server = None
@@ -450,10 +455,13 @@ class FleetRouter:
         t_now = time.monotonic()
         with self._lock:
             self._outstanding[slo_name] -= 1
-            if fid in self._resolved:
+            if fid < self._resolved_below or fid in self._resolved_above:
                 self.duplicates += 1
             else:
-                self._resolved.add(fid)
+                self._resolved_above.add(fid)
+                while self._resolved_below in self._resolved_above:
+                    self._resolved_above.remove(self._resolved_below)
+                    self._resolved_below += 1
         if fut.exception() is not None:
             self.stats.record_failed()
             return
@@ -509,7 +517,7 @@ class FleetRouter:
         duplicates whenever the fleet is healthy)."""
         with self._lock:
             submitted = self.submitted
-            resolved = len(self._resolved)
+            resolved = self._resolved_below + len(self._resolved_above)
             duplicates = self.duplicates
             outstanding = dict(self._outstanding)
         snap = self.stats.snapshot()

@@ -19,30 +19,40 @@ backpropagation):
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro import config
 
-_GRAD_ENABLED: bool = True
+
+class _GradMode(threading.local):
+    """Per-thread grad mode: one thread's ``no_grad`` block must not
+    switch graph recording off for a sibling thread (or for a process
+    that sibling forks)."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction inside the ``with`` block (inference)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph construction inside the ``with`` block (inference)
+    for the calling thread."""
+    prev = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_MODE.enabled = prev
 
 
 def grad_enabled() -> bool:
-    """Whether ops currently record the autodiff graph."""
-    return _GRAD_ENABLED
+    """Whether ops on the calling thread record the autodiff graph."""
+    return _GRAD_MODE.enabled
 
 
 def _coerce_array(data, dtype=None) -> np.ndarray:
@@ -296,7 +306,7 @@ def _result(
     backward_fn: Callable[[np.ndarray], None],
 ) -> Tensor:
     """Build an op result, attaching the graph only when grad is enabled."""
-    requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    requires = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires)
     if requires:
         out._parents = parents

@@ -98,7 +98,7 @@ class _WorkerKiller:
     def _run(self):
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            procs = self.runner._procs
+            procs = self.runner._workers.procs
             if (
                 self.runner.samples_completed >= self.base + self.after
                 and len(procs) > self.stage_index
@@ -173,8 +173,8 @@ class TestKillAndRecoverParity:
             runner.train(X, Y)
         killer.join()
         # the runner cleans up and stays usable for a fresh run
-        assert runner._procs == []
-        assert runner._rings == []
+        assert runner._workers.procs == []
+        assert runner._workers.rings == []
         ok = runner.train(*_stream(6, seed=1))
         assert ok.samples == 6
 

@@ -19,6 +19,10 @@ and the shared-memory transport:
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
+import signal
+import time
 from functools import partial
 
 import numpy as np
@@ -32,6 +36,11 @@ from repro.pipeline import (
     ProcessPipelineRunner,
     make_pipeline_engine,
 )
+from repro.pipeline.inference import (
+    InferenceStreamError,
+    open_inference_stream,
+)
+from repro.pipeline.workers import StageWorkerGroup, WorkerSpec
 from repro.tensor import Tensor, cross_entropy
 
 from test_runtime_parity import (
@@ -392,16 +401,79 @@ class TestFailureAndEdgeCases:
         ).train(*_stream(6))
         assert ok.samples == 6
 
-    def test_rings_are_torn_down(self):
-        """After train() the run's shared-memory segments are unlinked."""
+    @pytest.mark.parametrize("engine", ["train", "stream_worker_raised"])
+    def test_rings_are_torn_down(self, engine):
+        """After train(), or close() of an inference stream whose worker
+        raised, no worker is alive and no shared-memory segment is left."""
         X, Y = _stream(6)
-        m = small_cnn(seed=1)
-        runner = ProcessPipelineRunner(
-            m, lr=0.01, mode="pb", lockstep=False, stall_timeout=STALL
+        shm_before = set(os.listdir("/dev/shm"))
+        children_before = set(mp.active_children())
+        if engine == "train":
+            runner = ProcessPipelineRunner(
+                small_cnn(seed=1), lr=0.01, mode="pb", lockstep=False,
+                stall_timeout=STALL,
+            )
+            runner.train(X, Y)
+            group = runner._workers
+        else:
+            stages = PipelineExecutor(small_cnn(seed=1), lr=0.01).stages
+
+            forward = stages[1].forward
+
+            def broken_forward(pid, payload, train=True):
+                if pid < 0:  # the parent's ring-layout probe
+                    return forward(pid, payload, train=train)
+                raise ValueError("stage 1 is broken")
+
+            stages[1].forward = broken_forward  # inherited by the fork
+            stream = open_inference_stream(
+                stages, backend="process", max_width=2,
+                sample_shape=X.shape[1:], stall_timeout=STALL,
+            )
+            group = stream._workers
+            procs = list(group.procs)
+            assert stream.submit(0, 0, X[:2])
+            with pytest.raises(InferenceStreamError, match="broken"):
+                deadline = time.monotonic() + STALL
+                while time.monotonic() < deadline:
+                    stream.poll()
+                    time.sleep(0.01)
+            stream.close()
+            assert not any(p.is_alive() for p in procs)
+        assert group.rings == []
+        assert group.procs == []
+        assert set(mp.active_children()) <= children_before
+        assert set(os.listdir("/dev/shm")) <= shm_before
+
+
+def _spin_on_abort(spec, stage) -> None:
+    spec.conn.send(("spinning",))
+    while not spec.abort.is_set():
+        pass
+
+
+class TestStageWorkerGroup:
+    def test_sigkill_while_polling_abort_cannot_wedge_teardown(self):
+        """A worker SIGKILLed mid-spin on ``abort.is_set()`` holds no
+        lock: the parent's ``set()`` and the group's teardown return
+        promptly (a ``multiprocessing.Event`` could be left locked)."""
+        stage = PipelineExecutor(small_cnn(seed=0), lr=0.01).stages[0]
+        group = StageWorkerGroup("fork", None, stall_timeout=5.0)
+        group.launch(
+            _spin_on_abort,
+            [WorkerSpec(stage_index=0, stall_timeout=5.0, stage=stage)],
+            name="abort-spin",
         )
-        runner.train(X, Y)
-        assert runner._rings == []
-        assert runner._procs == []
+        assert group.recv(0) == ("spinning",)
+        time.sleep(0.05)  # well inside the polling loop
+        os.kill(group.procs[0].pid, signal.SIGKILL)
+        group.procs[0].join(5.0)
+        assert group.dead_worker() == 0
+        t0 = time.monotonic()
+        group.abort.set()
+        group.teardown(failed=True)
+        assert time.monotonic() - t0 < 1.0
+        assert group.procs == [] and group.abort is None
 
 
 class TestEngineFacade:

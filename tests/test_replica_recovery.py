@@ -98,7 +98,7 @@ class _ReplicaWorkerKiller:
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             rep = self.runner.replica_runners[self.replica_index]
-            procs = list(rep._procs)
+            procs = list(rep._workers.procs)
             if (
                 self.runner.samples_completed >= self.after
                 and procs
@@ -149,7 +149,7 @@ class TestReplicaDeathRecovery:
         assert killer.fired
         # the group is fully torn down — no leaked worker processes
         for rep in engine.replica_runners:
-            assert not rep._procs
+            assert not rep._workers.procs
 
     def test_recovery_restores_master_snapshot_before_replay(self):
         """After recovery, per-stage update counts match the crash-free

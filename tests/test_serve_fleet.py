@@ -25,6 +25,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import Future
 from functools import partial
 
 import numpy as np
@@ -49,6 +50,7 @@ from repro.serve.fleet import (
     default_slo_classes,
     rolling_reload,
 )
+from repro.serve.fleet.autoscaler import MAX_EVENTS
 from repro.serve.loadgen import run_classed_loop
 
 FACTORY = partial(small_cnn, num_classes=10, widths=(8, 16), seed=11)
@@ -245,6 +247,13 @@ class TestAutoscaler:
         sc.decide(1.0, 1, 0.10, outstanding=4)
         assert [(t, a) for t, a, _ in sc.events] == [(1.0, "out")]
 
+    def test_decision_log_is_bounded(self):
+        sc = self._scaler(max_replicas=10**6, cooldown_s=0.0)
+        for t in range(MAX_EVENTS + 10):
+            assert sc.decide(float(t), 1, 0.10, outstanding=4) == "out"
+        assert len(sc.events) == MAX_EVENTS
+        assert sc.events[0][0] == 10.0  # the oldest decisions dropped
+
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="min_replicas"):
             AutoscalePolicy(min_replicas=0)
@@ -288,6 +297,34 @@ class TestFleetRouter:
             snap = router.snapshot()
         assert snap["resolved"] == 8 and snap["duplicates"] == 0
         assert snap["outstanding"] == {"batch": 0}
+
+    def test_resolved_ids_stay_bounded_and_duplicates_exact(
+        self, checkpoints
+    ):
+        """10^4 ids resolved out of order (shuffled in windows of 64)
+        keep only the out-of-order window in memory, and a replayed id
+        still counts as a duplicate."""
+        ck_a, _ = checkpoints
+        n, window = 10_000, 64
+        rng = np.random.default_rng(0)
+        order = np.concatenate([
+            rng.permutation(np.arange(lo, min(lo + window, n)))
+            for lo in range(0, n, window)
+        ])
+        failed = Future()
+        failed.set_exception(RuntimeError("resolved in the test"))
+        with FleetRouter(_spec(), 1, checkpoint=ck_a) as router:
+            router._outstanding["batch"] = n + 1
+            largest = 0
+            for fid in order:
+                router._resolve(int(fid), "batch", None, failed)
+                largest = max(largest, len(router._resolved_above))
+            assert largest < window
+            assert router._resolved_above == set()
+            router._resolve(int(order[n // 2]), "batch", None, failed)
+            snap = router.snapshot()
+        assert snap["resolved"] == n
+        assert snap["duplicates"] == 1
 
     def test_unknown_class_is_refused_loudly(self, checkpoints):
         ck_a, _ = checkpoints

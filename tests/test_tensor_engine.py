@@ -1,6 +1,8 @@
 """Graph-mechanics tests: accumulation, no_grad, lazy weight reads,
 multi-root backward."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,33 @@ class TestGraphMechanics:
                 raise ValueError("boom")
         except ValueError:
             pass
+        assert grad_enabled()
+
+    def test_no_grad_is_thread_local_under_interleaving(self):
+        """Two threads' no_grad blocks interleaved A-enter, B-enter,
+        A-exit, B-exit leave grad mode on (a process-global flag ended
+        up off for every thread, and for processes forked later)."""
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(5.0)
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(5.0)
+            with no_grad():
+                b_in.set()
+                a_out.wait(5.0)
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert a_out.is_set()
         assert grad_enabled()
 
     def test_deep_chain_no_recursion_error(self, rng):
