@@ -6,8 +6,12 @@ initial group *size* of two (channels per group).  ``BatchNorm2d`` is kept
 for the Appendix-B-style delay experiments and for the BN-vs-GN
 delay-tolerance comparison mentioned in the paper's discussion.
 
-Both are implemented as *composites* of autodiff primitives so their
-backward passes are correct by construction (and verified by grad-checks).
+``GroupNorm`` is one autodiff node (:func:`repro.tensor.ops_norm.group_norm`)
+whose backward replays the floating-point arithmetic of the composite of
+autodiff primitives it replaced, so it is bit-identical to that composite;
+``tests/test_nn_layers.py::TestGroupNormOracle`` keeps the composite as its
+oracle.  ``BatchNorm2d`` stays a composite, correct by construction (and
+verified by grad-checks).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
+from repro.tensor.ops_norm import group_norm
 from repro.tensor.tensor import Tensor, sqrt
 
 
@@ -51,18 +56,10 @@ class GroupNorm(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
+        _, c, _, _ = x.shape
         if c != self.num_channels:
             raise ValueError(f"expected {self.num_channels} channels, got {c}")
-        grouped = x.reshape((n, self.num_groups, -1))
-        mu = grouped.mean(axis=2, keepdims=True)
-        centered = grouped - mu
-        var = (centered * centered).mean(axis=2, keepdims=True)
-        normalized = centered / sqrt(var + self.eps)
-        out = normalized.reshape((n, c, h, w))
-        if self.affine:
-            out = out * self.weight + self.bias
-        return out
+        return group_norm(x, self.num_groups, self.weight, self.bias, self.eps)
 
     def __repr__(self) -> str:
         return (

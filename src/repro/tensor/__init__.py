@@ -10,6 +10,8 @@ Public surface:
   ``cross_entropy``.
 * :mod:`~repro.tensor.ops_conv` — ``conv2d``, ``max_pool2d``,
   ``avg_pool2d``.
+* :mod:`~repro.tensor.ops_norm` — ``group_norm``, one autodiff node
+  bit-identical to the composite of primitives it replaces.
 * :mod:`~repro.tensor.grad_check` — central-difference gradient checking
   used throughout the test suite.
 
@@ -52,6 +54,7 @@ from repro.tensor.ops_conv import (
     im2col,
     col2im,
 )
+from repro.tensor.ops_norm import group_norm
 from repro.tensor.grad_check import numerical_grad, check_gradients
 
 __all__ = [
@@ -80,6 +83,7 @@ __all__ = [
     "avg_pool2d",
     "im2col",
     "col2im",
+    "group_norm",
     "numerical_grad",
     "check_gradients",
 ]

@@ -14,7 +14,13 @@ import threading
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, _accumulate, _ensure_tensor, _result
+from repro.tensor.tensor import (
+    Tensor,
+    _accumulate,
+    _ensure_tensor,
+    _result,
+    _zero_pad,
+)
 
 
 class _ScratchCache(threading.local):
@@ -139,10 +145,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ValueError("kernel larger than padded input")
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
+    xp = _zero_pad(x.data, padding) if padding else x.data
     padded_shape = xp.shape
     oh = (padded_shape[2] - kh) // stride + 1
     ow = (padded_shape[3] - kw) // stride + 1

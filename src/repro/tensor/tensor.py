@@ -140,15 +140,7 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar backward")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=self.data.dtype)
-        if grad.shape != self.data.shape:
-            grad = np.broadcast_to(grad, self.data.shape).astype(self.data.dtype)
-
-        topo = _topological_order(self)
-        _accumulate(self, grad)
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        backward_multi([(self, grad)])
 
     # -- operator sugar -----------------------------------------------------
 
@@ -265,26 +257,6 @@ def _collect_topo(root: Tensor, topo: list[Tensor], visited: set[int]) -> None:
         for parent in node._parents:
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
-
-
-def _topological_order(root: Tensor) -> list[Tensor]:
-    """Iterative post-order over the graph (inputs before outputs)."""
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
-                stack.append((parent, False))
-    return topo
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -507,13 +479,23 @@ def pad2d(a, pad: int) -> Tensor:
         return a
     if a.ndim != 4:
         raise ValueError("pad2d expects an NCHW tensor")
-    width = ((0, 0), (0, 0), (pad, pad), (pad, pad))
-    out_data = np.pad(a.data, width)
+    out_data = _zero_pad(a.data, pad)
 
     def _bw(g: np.ndarray) -> None:
         _accumulate(a, g[:, :, pad:-pad, pad:-pad])
 
     return _result(out_data, (a,), _bw)
+
+
+def _zero_pad(data: np.ndarray, pad: int) -> np.ndarray:
+    """``data`` (NCHW) zero-padded by ``pad`` on both spatial sides: a
+    zero canvas plus one slice copy, an order of magnitude cheaper than
+    numpy's general-purpose pad on the small activations of batch-1
+    training."""
+    n, c, h, w = data.shape
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=data.dtype)
+    out[:, :, pad : pad + h, pad : pad + w] = data
+    return out
 
 
 def getitem(a, idx) -> Tensor:

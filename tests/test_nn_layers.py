@@ -17,7 +17,7 @@ from repro.nn import (
     MSELoss,
     group_norm_for,
 )
-from repro.tensor import Tensor, check_gradients
+from repro.tensor import Tensor, check_gradients, no_grad, relu, sqrt
 from repro.utils.rng import new_rng
 
 
@@ -103,6 +103,148 @@ class TestGroupNorm:
         gn = GroupNorm(1, 4, affine=False)
         assert len(gn.parameters()) == 0
         gn(Tensor(rng.normal(size=(1, 4, 2, 2))))
+
+
+def composite_group_norm(x, num_groups, weight=None, bias=None, eps=1e-5):
+    """The GroupNorm of autodiff primitives that ``group_norm`` replaces:
+    the oracle the fused node must match bit for bit."""
+    n, c, h, w = x.shape
+    grouped = x.reshape((n, num_groups, -1))
+    mu = grouped.mean(axis=2, keepdims=True)
+    centered = grouped - mu
+    var = (centered * centered).mean(axis=2, keepdims=True)
+    normalized = centered / sqrt(var + eps)
+    out = normalized.reshape((n, c, h, w))
+    if weight is not None:
+        out = out * weight + bias
+    return out
+
+
+class TestGroupNormOracle:
+    """``GroupNorm`` is one autodiff node whose backward replays the
+    composite's arithmetic: output and every gradient are byte-equal."""
+
+    @staticmethod
+    def _pair(rng, shape, groups, dtype, affine=True):
+        """A fused GroupNorm and oracle parameters holding the same
+        (non-trivial) affine values, plus one shared input array."""
+        gn = GroupNorm(groups, shape[1], affine=affine)
+        params = None
+        if affine:
+            gn.weight.data = rng.normal(size=gn.weight.shape).astype(dtype)
+            gn.bias.data = rng.normal(size=gn.bias.shape).astype(dtype)
+            params = (
+                Tensor(gn.weight.data.copy(), requires_grad=True),
+                Tensor(gn.bias.data.copy(), requires_grad=True),
+            )
+        x = (rng.normal(size=shape) * 3.0 + 1.0).astype(dtype)
+        return gn, params, x
+
+    @staticmethod
+    def _grads(out, x, params, g):
+        relu(out).backward(g)
+        grads = [out.data, x.grad]
+        if params is not None:
+            grads += [p.grad for p in params]
+        return grads
+
+    @staticmethod
+    def _assert_bytes_equal(fused, ref):
+        assert len(fused) == len(ref)
+        for a, b in zip(fused, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def _check(self, rng, shape, groups, dtype, affine=True):
+        gn, params, x = self._pair(rng, shape, groups, dtype, affine)
+        g = rng.normal(size=shape).astype(dtype)
+        xf = Tensor(x, requires_grad=True)
+        fused = self._grads(gn(xf), xf, gn.parameters() or None, g)
+        xr = Tensor(x, requires_grad=True)
+        w, b = params if affine else (None, None)
+        ref = self._grads(composite_group_norm(xr, groups, w, b), xr, params, g)
+        self._assert_bytes_equal(fused, ref)
+        assert all(a.dtype == dtype for a in fused)  # float32 stays float32
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("chw", [(8, 4, 4), (6, 3, 5)])
+    @pytest.mark.parametrize("per_group", ["all", "two", "one"])
+    def test_bit_exact(self, rng, dtype, n, chw, per_group):
+        # groups in {1, c/2, c}; (6, 3, 5) makes the group sizes (90, 30,
+        # 15) non-powers of two, where dividing by the count rounds
+        c = chw[0]
+        groups = {"all": 1, "two": c // 2, "one": c}[per_group]
+        self._check(rng, (n, *chw), groups, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_exact_batch1_paper_shape(self, rng, dtype):
+        self._check(rng, (1, 8, 16, 16), 4, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_exact_one_element_groups(self, rng, dtype):
+        # h*w*c/G == 1: the mean and variance reductions see one element
+        self._check(rng, (2, 4, 1, 1), 4, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_exact_no_affine(self, rng, dtype):
+        self._check(rng, (3, 8, 4, 4), 4, dtype, affine=False)
+
+    def test_bit_exact_second_consumer(self, rng):
+        # x also feeds two other ops; the backward walk reaches the
+        # GroupNorm between them, so its contribution lands on an
+        # existing x.grad and the three-term sum order is pinned too
+        shape = (2, 8, 4, 4)
+        gn, (w, b), x = self._pair(rng, shape, 4, np.float64)
+        s1, s2 = rng.normal(size=shape), rng.normal(size=shape)
+        g = rng.normal(size=shape)
+
+        def run(norm):
+            xt = Tensor(x, requires_grad=True)
+            out = xt * s1 + relu(norm(xt)) + xt * s2
+            out.backward(g)
+            return out.data, xt.grad
+
+        fused = run(gn)
+        ref = run(lambda xt: composite_group_norm(xt, 4, w, b))
+        self._assert_bytes_equal(
+            [*fused, gn.weight.grad, gn.bias.grad], [*ref, w.grad, b.grad]
+        )
+
+    def test_weight_read_at_backward_time(self, rng):
+        # PB weight inconsistency: the input gradient uses the weight as
+        # it is when backward runs, not as it was during forward
+        shape = (1, 8, 4, 4)
+        gn, (w, b), x = self._pair(rng, shape, 4, np.float64)
+        g = rng.normal(size=shape)
+        xs = Tensor(x, requires_grad=True)
+        stale = self._grads(gn(xs), xs, None, g)[1]  # forward-time weight
+        xf = Tensor(x, requires_grad=True)
+        xr = Tensor(x, requires_grad=True)
+        out_f = gn(xf)
+        out_r = composite_group_norm(xr, 4, w, b)
+        new_weight = gn.weight.data + rng.normal(size=gn.weight.shape)
+        gn.weight.data = new_weight
+        w.data = new_weight.copy()
+        gn.zero_grad()
+        fused = self._grads(out_f, xf, gn.parameters(), g)
+        ref = self._grads(out_r, xr, (w, b), g)
+        self._assert_bytes_equal(fused, ref)
+        assert not np.array_equal(fused[1], stale)
+
+    def test_one_graph_node(self, rng):
+        gn = GroupNorm(4, 8)
+        x = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
+        out = gn(x)
+        assert out._parents == (x, gn.weight, gn.bias)
+
+    def test_no_grad_builds_no_graph(self, rng):
+        gn = GroupNorm(4, 8)
+        x = Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
+        with no_grad():
+            out = gn(x)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
 
 
 class TestBatchNorm:
