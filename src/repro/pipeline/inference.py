@@ -72,6 +72,7 @@ from repro.pipeline.workers import (
     PipelineRuntimeError,
     StageRuntimeStats,
     StageWorkerGroup,
+    WorkerInbox,
     WorkerSpec,
 )
 
@@ -375,16 +376,19 @@ class _ServeWorkerSpec(WorkerSpec):
     fwd_in: ShmRing
     fwd_out: ShmRing
 
+    def inbound_rings(self) -> tuple[ShmRing, ...]:
+        return (self.fwd_in,)
+
 
 def _serve_loop(spec: _ServeWorkerSpec, stage: PipelineStage) -> None:
     """Forward-only event loop of one stage worker process."""
     if stage.spec.module is not None:
         stage.spec.module.eval()
     counters = StageRuntimeStats(index=spec.stage_index)
-    idle_sleep = 1e-5
+    inbox = WorkerInbox(spec)
     while True:
-        while spec.conn.poll(0):
-            cmd = spec.conn.recv()
+        while inbox.pending():
+            cmd = inbox.take()
             if cmd[0] == "finalize":
                 spec.conn.send(("counters", counters))
                 return
@@ -398,10 +402,8 @@ def _serve_loop(spec: _ServeWorkerSpec, stage: PipelineStage) -> None:
             return
         pkt = spec.fwd_in.try_recv()
         if pkt is None:
-            time.sleep(idle_sleep)
-            idle_sleep = min(idle_sleep * 2.0, 2e-3)
+            inbox.idle(spec.fwd_in.poll)
             continue
-        idle_sleep = 1e-5
         pid, start, size, payload = pkt
         t0 = time.perf_counter()
         out = stage.forward(pid, payload, train=False)
@@ -559,15 +561,16 @@ class ProcessInferenceStream(_Stream):
         workers = self._workers
         deadline = time.monotonic() + self.stall_timeout
         with self._health_lock:  # no health check may race the pipes
-            for conn in workers.conns:
+            for s in range(len(workers.conns)):
                 with contextlib.suppress(OSError):
-                    conn.send(("finalize",))
+                    workers.send(s, ("finalize",))
             # abort *before* waiting for counter replies: a worker
             # blocked in a ring send (error-path teardown with packets
             # in flight) only unblocks via the abort flag, and the
             # counters wait below would otherwise stall a full
-            # stall_timeout.  Idle workers drain their command pipe
-            # before checking abort, so the happy path still collects
+            # stall_timeout.  Workers read their pending commands
+            # before checking abort, and the finalize was counted before
+            # the flag went up, so the happy path still collects
             # counters.
             workers.set_abort()
             for msg in workers.replies(deadline):

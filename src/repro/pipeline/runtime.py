@@ -105,6 +105,7 @@ from repro.pipeline.workers import (
     PipelineRuntimeError,
     StageRuntimeStats,
     StageWorkerGroup,
+    WorkerInbox,
     WorkerSpec,
 )
 
@@ -1043,6 +1044,13 @@ class _ProcessWorkerSpec(WorkerSpec):
     num_samples: int = 0
     reduce: _ReduceSpec | None = None  # replicated runs only
 
+    def inbound_rings(self) -> tuple[ShmRing, ...]:
+        # not the reduce rings: they join workers of different replica
+        # groups, which launch concurrently, so a doorbell set at one
+        # group's launch could miss a producer another group already
+        # forked.  Reduce waits keep the spin-then-sleep wait.
+        return tuple(r for r in (self.fwd_in, self.bwd_in) if r is not None)
+
 
 class _ProcessStageWorker:
     """One stage's event loop inside its worker process."""
@@ -1051,6 +1059,7 @@ class _ProcessStageWorker:
         self.spec = spec
         self.stage = stage
         self.s = spec.stage_index
+        self.inbox = WorkerInbox(spec)
         self.counters = StageRuntimeStats(index=self.s)
         self.is_loss = stage.spec.kind == "loss"
         self.losses = (
@@ -1292,10 +1301,19 @@ class _ProcessStageWorker:
 
     def _recv_cmd(self):
         """Blocking command read that still honours the abort flag."""
-        while not self.spec.conn.poll(0.05):
+        inbox = self.inbox
+        while not inbox.pending():
             if self.spec.abort.is_set():
                 return ("stop",)
-        return self.spec.conn.recv()
+            inbox.idle()
+        return inbox.take()
+
+    def _has_work(self) -> bool:
+        """Whether the free-running loop could take a packet now."""
+        spec = self.spec
+        return (spec.bwd_in is not None and spec.bwd_in.poll()) or (
+            self.in_flight < self.cap and spec.fwd_in.poll()
+        )
 
     def _run_lockstep(self) -> None:
         spec = self.spec
@@ -1338,14 +1356,16 @@ class _ProcessStageWorker:
 
     def _run_free(self) -> None:
         spec = self.spec
-        idle_sleep = 1e-5
+        inbox = self.inbox
         while True:
-            # control first: a flush sent before the next batch's packets
-            # were injected must be applied before those packets (pipe
-            # writes precede the ring publishes, so checking the pipe
-            # first preserves the parent's ordering)
-            while spec.conn.poll(0):
-                if self._apply_control(spec.conn.recv()):
+            # control first: the parent bumps the command counter after
+            # the pipe write and before any later ring publish, so every
+            # command it sent before a packet this iteration can see is
+            # counted by the load below and applied first.  A flush is
+            # additionally a barrier: the parent injects the next batch
+            # only after every worker acked it.
+            while inbox.pending():
+                if self._apply_control(inbox.take()):
                     return
             if spec.abort.is_set():
                 return
@@ -1365,11 +1385,8 @@ class _ProcessStageWorker:
                 worked = True
             if completed:
                 spec.conn.send(("done", start, int(completed)))
-            if worked:
-                idle_sleep = 1e-5
-            else:
-                time.sleep(idle_sleep)
-                idle_sleep = min(idle_sleep * 2.0, 2e-3)
+            if not worked:
+                inbox.idle(self._has_work)
 
 
 def _train_loop(spec: _ProcessWorkerSpec, stage: PipelineStage) -> None:
@@ -1827,8 +1844,8 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
                 do_bwd = s in bwd_meta
                 if not (do_fwd or do_bwd or pending[s] or need_ack):
                     continue  # idle worker: skip the pipe write entirely
-                workers.conns[s].send(
-                    ("step", do_fwd, do_bwd, need_ack, tuple(pending[s]))
+                workers.send(
+                    s, ("step", do_fwd, do_bwd, need_ack, tuple(pending[s]))
                 )
                 pending[s].clear()
                 sends += 1
@@ -1888,7 +1905,7 @@ class ProcessPipelineRunner(_ConcurrentEngineFacade):
         # as standalone legacy commands before finalize
         for s in range(S):
             for cmd in pending[s]:
-                workers.conns[s].send(cmd)
+                workers.send(s, cmd)
                 sends += 1
             pending[s].clear()
 

@@ -65,9 +65,18 @@ fill (at most ``D_s`` backward packets can be outstanding toward stage
 ``s``) and hence that backward sends never block: the runtime's
 deadlock-freedom argument.
 
-Blocking waits are adaptive spin-then-sleep with a stall deadline and an
-abort check, so a dead peer turns into a loud :class:`TransportStall`
-instead of a hang.
+Waking the consumer
+-------------------
+
+A ring may carry its consumer's :class:`Doorbell`, a counting wake-up
+semaphore: every publish posts it right after the ``head`` store, so a
+consumer with nothing to do blocks on the doorbell instead of polling,
+and :meth:`ShmRing.recv` on such a ring blocks on it too.  A blocking
+:meth:`ShmRing.send` waits for the consumer's ``release``, which posts
+nothing, so it — like a receive on a ring without a doorbell — spins
+briefly and then sleeps with exponential backoff.  Every blocking wait
+has a stall deadline and an abort check, so a dead peer turns into a
+loud :class:`TransportStall` instead of a hang.
 """
 
 from __future__ import annotations
@@ -101,10 +110,14 @@ def _needs_fence() -> bool:
 
 #: Alignment for the slot header and each array region (cache line).
 _ALIGN = 64
-#: Spin iterations before the waiter starts sleeping.
+#: Spin iterations before a wait without a doorbell starts sleeping.
 _SPIN = 200
 #: Sleep ceiling for the adaptive backoff (seconds).
 _MAX_SLEEP = 0.002
+#: Longest one doorbell wait blocks (seconds).  Aborts and commands post
+#: the doorbell, so this only sets how often a blocked waiter re-checks
+#: its stall deadline; nothing relies on the timeout to make progress.
+DOORBELL_WAIT = 0.05
 
 
 class TransportError(RuntimeError):
@@ -190,6 +203,36 @@ def probe_boundary_layouts(
     return layouts
 
 
+class Doorbell:
+    """Counting wake-up semaphore of one consumer (a stage worker).
+
+    Producers :meth:`post` after every publish into the consumer's
+    rings (and the parent after every command it sends the worker); the
+    consumer calls :meth:`wait` when it has nothing to do.  A wait first
+    drains stale posts without blocking, then re-checks the caller's
+    condition, and only then blocks: a publish that lands after the
+    re-check leaves a post behind, so no wake-up is lost.  Posting never
+    blocks and no process ever holds the semaphore (it is a counter, not
+    a lock), so a consumer SIGKILLed mid-wait wedges nobody.  Exactly one
+    process waits on a doorbell.
+    """
+
+    def __init__(self, ctx):
+        self._sem = ctx.Semaphore(0)
+
+    def post(self) -> None:
+        self._sem.release()
+
+    def wait(self, ready) -> None:
+        """Return once ``ready()`` holds, a post arrives or
+        :data:`DOORBELL_WAIT` passes; the caller re-checks its state."""
+        sem = self._sem
+        while sem.acquire(False):
+            pass
+        if not ready():
+            sem.acquire(True, DOORBELL_WAIT)
+
+
 @dataclass(frozen=True)
 class RingDescriptor:
     """Picklable handle: everything a worker needs to attach to a ring."""
@@ -218,13 +261,17 @@ class ShmRing:
     """
 
     def __init__(self, descriptor: RingDescriptor, shm: shared_memory.SharedMemory,
-                 owner: bool, fence=None):
+                 owner: bool, fence=None, doorbell: Doorbell | None = None):
         self.descriptor = descriptor
         self._shm = shm
         self._owner = owner
         #: None on TSO machines (lock-free); a multiprocessing.Lock on
         #: weakly-ordered ones (see _needs_fence)
         self._fence = fence
+        #: the consumer's Doorbell, posted by every publish (set by
+        #: StageWorkerGroup.launch before any worker starts; None for
+        #: rings the parent consumes or polls)
+        self.doorbell = doorbell
         self.label = descriptor.label
         self.slots = descriptor.slots
         buf = shm.buf
@@ -288,7 +335,8 @@ class ShmRing:
         return ring
 
     @classmethod
-    def attach(cls, descriptor: RingDescriptor, fence=None) -> "ShmRing":
+    def attach(cls, descriptor: RingDescriptor, fence=None,
+               doorbell: Doorbell | None = None) -> "ShmRing":
         # Python <=3.12 registers attached segments with the resource
         # tracker as if the attaching process owned them; the tracker's
         # cache is a *set*, so the duplicate registrations collapse and
@@ -305,25 +353,35 @@ class ShmRing:
             shm = shared_memory.SharedMemory(name=descriptor.shm_name)
         finally:
             resource_tracker.register = orig_register
-        return cls(descriptor, shm, owner=False, fence=fence)
+        return cls(descriptor, shm, owner=False, fence=fence,
+                   doorbell=doorbell)
 
     def __reduce__(self):
         # pickling a ring (spawn-start worker specs) yields an attach;
-        # the fence lock travels with it (multiprocessing pickles
-        # semaphores through Process args on any start method)
-        return (ShmRing.attach, (self.descriptor, self._fence))
+        # the fence lock and the consumer's doorbell travel with it
+        # (multiprocessing pickles semaphores through Process args on
+        # any start method)
+        return (ShmRing.attach, (self.descriptor, self._fence, self.doorbell))
 
     # -- waiting ------------------------------------------------------------
 
-    def _wait(self, ready, timeout: float, what: str, abort=None) -> None:
-        """Adaptive spin-then-sleep until ``ready()`` or deadline/abort."""
+    def _wait(self, ready, timeout: float, what: str, abort=None,
+              bell: Doorbell | None = None) -> None:
+        """Wait until ``ready()``, raising on the stall deadline or abort.
+
+        With ``bell`` the wait blocks on the doorbell between checks (the
+        abort flag is part of the re-check, since setting it posts every
+        doorbell); without one it spins ``_SPIN`` times, then sleeps with
+        exponential backoff up to ``_MAX_SLEEP``.
+        """
         deadline = time.monotonic() + timeout
         spins = 0
         sleep = 1e-5
         while not ready():
-            spins += 1
-            if spins <= _SPIN:
-                continue
+            if bell is None:
+                spins += 1
+                if spins <= _SPIN:
+                    continue
             if abort is not None and abort.is_set():
                 raise TransportAborted(
                     f"ring {self.label!r}: aborted while waiting for {what}"
@@ -333,8 +391,13 @@ class ShmRing:
                     f"ring {self.label!r}: stalled waiting for {what} "
                     f"({timeout:.1f}s) — likely a dead or deadlocked peer"
                 )
-            time.sleep(sleep)
-            sleep = min(sleep * 2.0, _MAX_SLEEP)
+            if bell is not None:
+                bell.wait(
+                    lambda: ready() or (abort is not None and abort.is_set())
+                )
+            else:
+                time.sleep(sleep)
+                sleep = min(sleep * 2.0, _MAX_SLEEP)
 
     # -- producer side ------------------------------------------------------
 
@@ -375,6 +438,8 @@ class ShmRing:
         slot.meta[2] = size
         # publish: data writes above precede this store (SPSC contract)
         self._head[0] = int(self._head[0]) + 1
+        if self.doorbell is not None:
+            self.doorbell.post()
 
     def _has_free_slot(self) -> bool:
         if self._fence is None:
@@ -416,8 +481,9 @@ class ShmRing:
         return pid, start, size, views
 
     def recv(self, timeout: float, what: str = "a packet", abort=None):
-        """Blocking :meth:`try_recv` with a stall deadline."""
-        self._wait(self.poll, timeout, what, abort)
+        """Blocking :meth:`try_recv` with a stall deadline (blocks on the
+        consumer's doorbell when the ring has one)."""
+        self._wait(self.poll, timeout, what, abort, self.doorbell)
         return self.try_recv()
 
     def release(self) -> None:
@@ -449,6 +515,9 @@ class ShmRing:
     def close(self) -> None:
         self._slot_views = []
         self._head = self._tail = None
+        # a spawn-context doorbell is a named semaphore until its last
+        # reference goes; the ring must not keep it past teardown
+        self.doorbell = None
         try:
             self._shm.close()
         except Exception:  # pragma: no cover - idempotent teardown

@@ -13,13 +13,20 @@ lives here, once:
 * start-method resolution and ``model_factory`` validation;
 * spawning: a control pipe per stage, the process, and closing the
   parent's copies of the child ends;
+* waking: one :class:`~repro.pipeline.transport.Doorbell` per worker,
+  handed to the rings it consumes (every publish posts it), and one
+  :class:`CommandCounter` per worker.  :meth:`StageWorkerGroup.send`
+  writes the pipe, bumps the counter and posts the doorbell, so an idle
+  worker (:class:`WorkerInbox`) reads one shared int instead of polling
+  its pipe, and blocks on the doorbell instead of sleeping;
 * the worker-side envelope (:func:`_worker_main`): build or inherit the
   stage, load its state, run the loop, exit quietly when the transport
   was aborted, otherwise report ``("err", stage, text)`` and raise the
   abort flag;
 * liveness: ``err`` scans, abnormal-exit detection and receives with a
   stall deadline;
-* the abort flag (:class:`AbortFlag`);
+* the abort flag (:class:`AbortFlag`), whose :meth:`~StageWorkerGroup.set_abort`
+  also posts every doorbell;
 * teardown: abort on failure, join against the stall deadline,
   terminate stragglers, close pipes, close and unlink rings.
 
@@ -40,7 +47,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Sequence
 
 from repro.pipeline.stage import PipelineStage, StageBuildSpec
-from repro.pipeline.transport import ShmRing, TransportAborted
+from repro.pipeline.transport import Doorbell, ShmRing, TransportAborted
 
 
 class PipelineRuntimeError(RuntimeError):
@@ -95,6 +102,26 @@ class AbortFlag:
         return self._byte.value != 0
 
 
+class CommandCounter:
+    """How many commands the parent has sent one worker, on one shared
+    int64 (lock-free like :class:`AbortFlag`).
+
+    The parent is the only writer and bumps it after each pipe write;
+    the worker compares one plain load against the number it has read,
+    so checking for commands costs no pipe poll.
+    """
+
+    def __init__(self, ctx):
+        self._count = ctx.RawValue("q", 0)
+
+    def bump(self) -> None:
+        self._count.value += 1
+
+    @property
+    def value(self) -> int:
+        return self._count.value
+
+
 @dataclass(kw_only=True)
 class WorkerSpec:
     """What every stage worker receives (picklable under ``spawn``);
@@ -109,6 +136,42 @@ class WorkerSpec:
     build_spec: StageBuildSpec | None = None  # spawn path: rebuild recipe
     conn: Any = None  # set by StageWorkerGroup.launch
     abort: AbortFlag | None = None  # set by StageWorkerGroup.launch
+    doorbell: Doorbell | None = None  # set by StageWorkerGroup.launch
+    commands: CommandCounter | None = None  # set by StageWorkerGroup.launch
+
+    def inbound_rings(self) -> tuple[ShmRing, ...]:
+        """Rings this worker consumes, which post its doorbell."""
+        return ()
+
+
+class WorkerInbox:
+    """Worker side of the control channel: the pipe is read only when
+    the parent's :class:`CommandCounter` says a command is waiting, and
+    an idle worker blocks on its doorbell."""
+
+    def __init__(self, spec: WorkerSpec):
+        self._conn = spec.conn
+        self._sent = spec.commands
+        self._abort = spec.abort
+        self._bell = spec.doorbell
+        self._read = 0
+
+    def pending(self) -> bool:
+        """Whether a command is waiting (one shared load, no syscall)."""
+        return self._sent.value != self._read
+
+    def take(self):
+        """The next command; call only while :meth:`pending`."""
+        self._read += 1
+        return self._conn.recv()
+
+    def idle(self, has_work=lambda: False) -> None:
+        """One doorbell wait: returns once ``has_work()`` holds, a
+        command is pending, abort is set, or a post arrives (publishes,
+        commands and abort all post)."""
+        self._bell.wait(
+            lambda: has_work() or self.pending() or self._abort.is_set()
+        )
 
 
 def _worker_main(loop: Callable[[Any, PipelineStage], None], spec) -> None:
@@ -192,6 +255,8 @@ class StageWorkerGroup:
         #: fails part-way still frees them.
         self.rings: list[ShmRing] = []
         self.abort: AbortFlag | None = None
+        self.doorbells: list[Doorbell] = []
+        self.commands: list[CommandCounter] = []
         self._rx: list[deque] = []  # non-err messages set aside by scan()
 
     # -- launch ---------------------------------------------------------------
@@ -209,8 +274,16 @@ class StageWorkerGroup:
         self.abort = AbortFlag(ctx)
         child_conns = []
         for spec in specs:
+            # every ring gets its consumer's doorbell before any worker
+            # starts: a producer forked earlier would publish unheard
+            bell = Doorbell(ctx)
+            for ring in spec.inbound_rings():
+                ring.doorbell = bell
+            self.doorbells.append(bell)
+            self.commands.append(CommandCounter(ctx))
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             spec.conn, spec.abort = child_conn, self.abort
+            spec.doorbell, spec.commands = bell, self.commands[-1]
             self.conns.append(parent_conn)
             child_conns.append(child_conn)
             self.procs.append(
@@ -232,9 +305,17 @@ class StageWorkerGroup:
 
     # -- messages -------------------------------------------------------------
 
+    def send(self, s: int, cmd) -> None:
+        """Send worker ``s`` a command: pipe write, then counter bump,
+        then doorbell post (the worker reads the pipe only once the
+        counter moved)."""
+        self.conns[s].send(cmd)
+        self.commands[s].bump()
+        self.doorbells[s].post()
+
     def broadcast(self, cmd) -> None:
-        for conn in self.conns:
-            conn.send(cmd)
+        for s in range(len(self.conns)):
+            self.send(s, cmd)
 
     def _died(self, s: int) -> PipelineRuntimeError:
         return PipelineRuntimeError(
@@ -359,8 +440,12 @@ class StageWorkerGroup:
     # -- teardown -------------------------------------------------------------
 
     def set_abort(self) -> None:
-        if self.abort is not None:
-            self.abort.set()
+        """Raise the abort flag and wake every worker to see it."""
+        abort, bells = self.abort, self.doorbells
+        if abort is not None:
+            abort.set()
+            for bell in bells:
+                bell.post()
 
     def teardown(self, failed: bool) -> None:
         """Stop every worker and free the rings; the group is then empty
@@ -384,4 +469,5 @@ class StageWorkerGroup:
             ring.close()
             ring.unlink()
         self.procs, self.conns, self.rings, self._rx = [], [], [], []
+        self.doorbells, self.commands = [], []
         self.abort = None

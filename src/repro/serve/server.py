@@ -304,9 +304,10 @@ class PipelineServer:
             while not self._stop.is_set():
                 results = self._stream.poll()
                 if not results:
-                    # exponential idle backoff (same shape as the
-                    # process stage workers): an idle server must not
-                    # burn a core polling; the cap stays well under the
+                    # exponential idle backoff: results arrive on the
+                    # stream's last ring, which the parent polls (no
+                    # doorbell), and an idle server must not burn a
+                    # core polling it; the cap stays well under the
                     # default coalescing deadline so loaded-path
                     # latency is unaffected
                     time.sleep(idle_sleep)

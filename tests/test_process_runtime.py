@@ -34,13 +34,15 @@ from repro.pipeline import (
     PipelineExecutor,
     PipelineRuntimeError,
     ProcessPipelineRunner,
+    ReplicatedPipelineRunner,
     make_pipeline_engine,
+    transport,
 )
 from repro.pipeline.inference import (
     InferenceStreamError,
     open_inference_stream,
 )
-from repro.pipeline.workers import StageWorkerGroup, WorkerSpec
+from repro.pipeline.workers import StageWorkerGroup, WorkerInbox, WorkerSpec
 from repro.tensor import Tensor, cross_entropy
 
 from test_runtime_parity import (
@@ -353,6 +355,24 @@ class TestSpawnAndFactory:
         assert _hex_losses(sim) == _hex_losses(proc)
         assert _weight_fingerprint(m1) == _weight_fingerprint(m2)
 
+    @pytest.mark.concurrency(timeout=300)
+    def test_spawn_free_running_gpipe_matches_simulator(self):
+        """Free-running under spawn: every ring reaches its worker by
+        unpickling, doorbell included, and losses stay hex-equal."""
+        factory = partial(small_cnn, num_classes=4, widths=(4,), seed=11)
+        n, N, B = 16, 8, 4
+        X, Y = _stream(n)
+        sim = PipelineExecutor(
+            factory(), lr=0.05, momentum=0.9, mode="gpipe", update_size=N,
+            micro_batch_size=B,
+        ).train(X, Y)
+        free = ProcessPipelineRunner(
+            factory(), lr=0.05, momentum=0.9, mode="gpipe", update_size=N,
+            micro_batch_size=B, lockstep=False, model_factory=factory,
+            start_method="spawn", stall_timeout=240.0,
+        ).train(X, Y)
+        assert _hex_losses(sim) == _hex_losses(free)
+
     def test_spawn_without_factory_rejected(self):
         with pytest.raises(ValueError, match="model_factory"):
             ProcessPipelineRunner(
@@ -474,6 +494,220 @@ class TestStageWorkerGroup:
         group.teardown(failed=True)
         assert time.monotonic() - t0 < 1.0
         assert group.procs == [] and group.abort is None
+
+    def test_teardown_wakes_workers_blocked_on_their_doorbell(
+        self, slow_doorbell
+    ):
+        """``teardown(failed=True)`` posts every doorbell after raising
+        the abort flag, so workers blocked in a 30 s doorbell wait exit
+        at once."""
+        group = _launch_doorbell_waiters(3)
+        t0 = time.monotonic()
+        group.teardown(failed=True)
+        assert time.monotonic() - t0 < 1.0
+        assert group.procs == [] and group.doorbells == []
+
+    def test_sigkill_while_blocked_on_doorbell_cannot_wedge_teardown(
+        self, slow_doorbell
+    ):
+        """The doorbell is a counter that nobody holds: posting to a
+        worker SIGKILLed mid-wait returns at once, and teardown still
+        wakes and joins the survivors."""
+        group = _launch_doorbell_waiters(2)
+        os.kill(group.procs[0].pid, signal.SIGKILL)
+        group.procs[0].join(5.0)
+        assert group.dead_worker() == 0
+        t0 = time.monotonic()
+        for _ in range(3):
+            group.doorbells[0].post()
+        group.teardown(failed=True)
+        assert time.monotonic() - t0 < 1.0
+        assert group.procs == [] and group.abort is None
+
+    def test_command_burst_to_more_workers_than_cores(self, slow_doorbell):
+        """Interleaved command bursts to four workers, more than a
+        2-CPU host has cores: every command is read exactly once and in
+        order, and no wake-up is lost (each would cost a 30 s wait)."""
+        n_workers, n_cmds = 4, 200
+        stage = PipelineExecutor(small_cnn(seed=0), lr=0.01).stages[0]
+        group = StageWorkerGroup("fork", None, stall_timeout=STALL)
+        group.launch(
+            _echo_commands,
+            [
+                WorkerSpec(stage_index=s, stall_timeout=STALL, stage=stage)
+                for s in range(n_workers)
+            ],
+            name="doorbell-echo",
+        )
+        failed = True
+        try:
+            t0 = time.monotonic()
+            for i in range(n_cmds):
+                for s in range(n_workers):
+                    group.send(s, ("echo", i))
+            for s in range(n_workers):
+                assert [group.recv(s)[1] for _ in range(n_cmds)] == list(
+                    range(n_cmds)
+                )
+            group.broadcast(("stop",))
+            assert time.monotonic() - t0 < LOST_WAKEUP_S / 2
+            failed = False
+        finally:
+            group.teardown(failed)
+
+
+def _echo_commands(spec, stage) -> None:
+    inbox = WorkerInbox(spec)
+    while True:
+        while not inbox.pending():
+            inbox.idle()
+        cmd = inbox.take()
+        if cmd[0] == "stop":
+            return
+        spec.conn.send(cmd)
+
+
+#: A doorbell wait long enough that a lost wake-up cannot hide: any
+#: run that relied on the timeout instead of a post would take this long.
+LOST_WAKEUP_S = 30.0
+
+
+@pytest.fixture
+def slow_doorbell(monkeypatch):
+    """Stretch every doorbell wait to :data:`LOST_WAKEUP_S` (forked
+    workers inherit the patched constant)."""
+    monkeypatch.setattr(transport, "DOORBELL_WAIT", LOST_WAKEUP_S)
+
+
+def _wait_on_doorbell(spec, stage) -> None:
+    inbox = WorkerInbox(spec)
+    spec.conn.send(("waiting",))
+    while not spec.abort.is_set():
+        inbox.idle()
+
+
+def _launch_doorbell_waiters(n: int) -> StageWorkerGroup:
+    stage = PipelineExecutor(small_cnn(seed=0), lr=0.01).stages[0]
+    group = StageWorkerGroup("fork", None, stall_timeout=5.0)
+    group.launch(
+        _wait_on_doorbell,
+        [
+            WorkerSpec(stage_index=s, stall_timeout=5.0, stage=stage)
+            for s in range(n)
+        ],
+        name="doorbell-wait",
+    )
+    for s in range(n):
+        assert group.recv(s) == ("waiting",)
+    time.sleep(0.1)  # every worker is now inside its doorbell wait
+    return group
+
+
+class TestNoLostWakeups:
+    """With doorbell waits stretched to 30 s, only posts can keep a run
+    moving: each run below finishes in seconds (on the 30 s budget a
+    single lost wake-up would blow) and still computes the right
+    numbers."""
+
+    def _assert_quick(self, t0: float) -> None:
+        assert time.monotonic() - t0 < LOST_WAKEUP_S / 2
+
+    @pytest.mark.parametrize("lockstep", [False, True])
+    def test_pb_run(self, slow_doorbell, lockstep):
+        X, Y = _stream(12)
+        m1, m2 = small_cnn(seed=5), small_cnn(seed=5)
+        t0 = time.monotonic()
+        proc = ProcessPipelineRunner(
+            m2, lr=0.05, momentum=0.9, mode="pb", lockstep=lockstep,
+            stall_timeout=STALL,
+        ).train(X, Y)
+        self._assert_quick(t0)
+        assert proc.samples == 12
+        if lockstep:
+            sim = PipelineExecutor(
+                m1, lr=0.05, momentum=0.9, mode="pb"
+            ).train(X, Y)
+            assert _hex_losses(sim) == _hex_losses(proc)
+
+    def test_free_gpipe_matches_simulator(self, slow_doorbell):
+        n, N, B = 16, 8, 4
+        X, Y = _stream(n)
+        m1, m2 = small_cnn(seed=5), small_cnn(seed=5)
+        sim = PipelineExecutor(
+            m1, lr=0.05, momentum=0.9, mode="gpipe", update_size=N,
+            micro_batch_size=B,
+        ).train(X, Y)
+        t0 = time.monotonic()
+        free = ProcessPipelineRunner(
+            m2, lr=0.05, momentum=0.9, mode="gpipe", update_size=N,
+            micro_batch_size=B, lockstep=False, stall_timeout=STALL,
+        ).train(X, Y)
+        self._assert_quick(t0)
+        assert _hex_losses(sim) == _hex_losses(free)
+
+    def test_replicated_run(self, slow_doorbell):
+        """Reduce rings join two groups and keep the spin-then-sleep
+        wait; the stage rings of each replica use doorbells."""
+        factory = partial(small_cnn, num_classes=4, widths=(4,))
+        X, Y = _stream(16)
+        sim = PipelineExecutor(
+            factory(seed=3), lr=0.05, momentum=0.9, mode="fill_drain",
+            update_size=8,
+        ).train(X, Y)
+        t0 = time.monotonic()
+        rep = ReplicatedPipelineRunner(
+            factory(seed=3), lr=0.05, momentum=0.9, mode="fill_drain",
+            update_size=4, replicas=2, model_factory=factory,
+            stall_timeout=STALL,
+        ).train(X, Y)
+        self._assert_quick(t0)
+        assert _hex_losses(sim) == _hex_losses(rep)
+
+    def test_inference_stream(self, slow_doorbell):
+        stages = PipelineExecutor(small_cnn(seed=1), lr=0.01).stages
+        X, _ = _stream(10)
+        expect = {}
+        with open_inference_stream(
+            stages, backend="sim", max_width=2, sample_shape=X.shape[1:]
+        ) as sim:
+            for pid in range(5):
+                assert sim.submit(pid, 2 * pid, X[2 * pid : 2 * pid + 2])
+            for pid, _start, logits in sim.poll():
+                expect[pid] = logits
+        t0 = time.monotonic()
+        stream = open_inference_stream(
+            stages, backend="process", max_width=2,
+            sample_shape=X.shape[1:], stall_timeout=STALL,
+        )
+        got = {}
+        try:
+            for pid in range(5):
+                assert stream.submit(pid, 2 * pid, X[2 * pid : 2 * pid + 2])
+            while len(got) < 5 and time.monotonic() - t0 < LOST_WAKEUP_S:
+                for pid, _start, logits in stream.poll():
+                    got[pid] = logits
+        finally:
+            stream.close()
+        self._assert_quick(t0)
+        assert sorted(got) == sorted(expect) == list(range(5))
+        for pid in expect:
+            assert np.array_equal(got[pid], expect[pid])
+
+    def test_idle_stream_close_is_prompt(self, slow_doorbell):
+        """``close()`` sends every worker its finalize command and then
+        raises abort, both of which post the doorbell, so workers blocked
+        on their doorbells reply and exit at once."""
+        stages = PipelineExecutor(small_cnn(seed=1), lr=0.01).stages
+        stream = open_inference_stream(
+            stages, backend="process", max_width=2,
+            sample_shape=(3, 8, 8), stall_timeout=STALL,
+        )
+        time.sleep(0.3)  # the workers start and block on their doorbells
+        procs = list(stream._workers.procs)
+        t0 = time.monotonic()
+        stream.close()
+        assert time.monotonic() - t0 < 1.0
+        assert not any(p.is_alive() for p in procs)
 
 
 class TestEngineFacade:

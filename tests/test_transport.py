@@ -12,13 +12,19 @@ deadlock-freedom argument leans on.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.models.simple import small_cnn
+from repro.pipeline import transport
 from repro.pipeline.executor import PipelineExecutor
 from repro.pipeline.transport import (
     ArraySpec,
+    Doorbell,
     ShmRing,
     TransportError,
     TransportStall,
@@ -174,6 +180,64 @@ class TestCapacityAndErrors:
             ring.send(0, 0, 6, _payload(0, size=6), timeout=1.0)
 
 
+def _publish_one(ring) -> None:
+    """Spawned-child body: one publish through an unpickled ring."""
+    ring.try_send(7, 0, 4, _payload(0))
+    ring.close()
+
+
+class TestDoorbell:
+    def test_publish_posts_the_consumers_doorbell(self, ring):
+        ring.doorbell = Doorbell(mp.get_context("fork"))
+        sem = ring.doorbell._sem
+        assert not sem.acquire(False)
+        assert ring.try_send(0, 0, 4, _payload(0))
+        assert sem.acquire(False)
+        assert not sem.acquire(False)  # one post per publish
+
+    def test_recv_blocks_on_doorbell_until_publish(self, ring, monkeypatch):
+        """With a doorbell, ``recv`` blocks on it rather than polling:
+        even with 30 s doorbell waits, a later publish wakes it at once."""
+        monkeypatch.setattr(transport, "DOORBELL_WAIT", 30.0)
+        ring.doorbell = Doorbell(mp.get_context("fork"))
+        p = _payload(3)
+        timer = threading.Timer(0.2, ring.try_send, (5, 0, 4, p))
+        t0 = time.monotonic()
+        timer.start()
+        try:
+            pid, _, _, views = ring.recv(60.0)
+        finally:
+            timer.join()
+        assert time.monotonic() - t0 < 10.0
+        assert pid == 5 and np.array_equal(views[0], p[0])
+
+    def test_recv_on_doorbell_still_stalls_loudly(self, ring, monkeypatch):
+        monkeypatch.setattr(transport, "DOORBELL_WAIT", 0.01)
+        ring.doorbell = Doorbell(mp.get_context("fork"))
+        with pytest.raises(TransportStall):
+            ring.recv(0.1)
+
+    @pytest.mark.concurrency(timeout=300)
+    def test_unpickled_ring_in_spawned_child_posts_doorbell(self, ring):
+        """Under spawn a worker's rings arrive by pickling: the
+        consumer's doorbell must travel with the ring, or the child's
+        publish would post nothing and the consumer fall back on
+        timeouts."""
+        ctx = mp.get_context("spawn")
+        bell = Doorbell(ctx)
+        ring.doorbell = bell
+        child = ctx.Process(target=_publish_one, args=(ring,))
+        child.start()
+        try:
+            assert bell._sem.acquire(True, 60.0), "child publish posted nothing"
+        finally:
+            child.join(60.0)
+            ring.doorbell = None
+        assert child.exitcode == 0
+        pid, _, _, views = ring.try_recv()
+        assert pid == 7 and np.array_equal(views[0], _payload(0)[0])
+
+
 class TestLayoutProbe:
     def test_probe_matches_executed_payload_shapes(self):
         model = small_cnn(num_classes=4, widths=(4, 8), seed=0)
@@ -260,6 +324,27 @@ class TestFencedMode:
         )
         proc = runner.train(X, Y)
         assert np.array_equal(sim.losses, proc.losses)
+
+    @pytest.mark.concurrency
+    def test_fenced_free_running_gpipe_matches_simulator(self, monkeypatch):
+        from repro.pipeline import ProcessPipelineRunner
+
+        monkeypatch.setenv("REPRO_SHM_FENCE", "1")
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(16, 3, 8, 8))
+        Y = rng.integers(0, 4, size=16)
+        kw = dict(lr=0.05, momentum=0.9, mode="gpipe", update_size=8,
+                  micro_batch_size=4)
+        sim = PipelineExecutor(
+            small_cnn(num_classes=4, widths=(4,), seed=6), **kw
+        ).train(X, Y)
+        free = ProcessPipelineRunner(
+            small_cnn(num_classes=4, widths=(4,), seed=6), lockstep=False,
+            stall_timeout=60.0, **kw,
+        ).train(X, Y)
+        assert [float(v).hex() for v in sim.losses] == [
+            float(v).hex() for v in free.losses
+        ]
 
 
 class TestRingSizing:
